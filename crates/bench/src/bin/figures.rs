@@ -39,6 +39,14 @@
 //! daemon answers with the same typed rows, re-serialized through the same
 //! report structs.
 //!
+//! Every experiment subcommand takes the same path: the selection expands to
+//! its experiment requests, which run either in this process through
+//! `ExperimentRequest::run` or on the daemon, which calls that same function;
+//! text mode prints `ExperimentResponse::render` for each response, JSON mode
+//! the assembled `FiguresReport` of a figure selection or the one document of
+//! `simulate` / `sweep` / `verify`.  Only `stream` and `metrics`, which are no
+//! experiment requests, have paths of their own.
+//!
 //! All selected experiments run through one shared compilation session — in
 //! this process or in the daemon's — so overlapping sweep points compile once.
 //! The session's cache statistics (`compilations`, `hits`, `disk hits`,
@@ -50,13 +58,11 @@
 use std::process::ExitCode;
 
 use vliw_bench::{
-    assemble_report, cli, render_simulate_text, render_stats, render_stream_text,
-    render_sweep_text, render_text, render_verify_text, requests_for, run_experiments_in,
-    run_pruned_sweep_in, run_simulate_in, run_stream, run_sweep_in, run_verify_in, validate_server,
-    FiguresReport, OutputFormat, RunConfig, Selection, ServeClient,
+    assemble_report, cli, render_stats, render_stream_text, run_stream, validate_server,
+    OutputFormat, RunConfig, Selection, ServeClient,
 };
-use vliw_core::experiments::{ExperimentResponse, SimulateReport, SweepReport, VerifyReport};
-use vliw_core::{Session, SessionStats, VliwError};
+use vliw_core::experiments::{ExperimentRequest, ExperimentResponse};
+use vliw_core::{Session, SessionStats};
 
 /// Where this run's experiments execute: an in-process session, or a
 /// `vliw-serve` daemon reached over a socket.
@@ -107,81 +113,16 @@ impl Backend {
         }
     }
 
-    /// Runs the figure experiments of `selection` into one report.
-    fn figures(&mut self, selection: Selection, run: &RunConfig) -> Result<FiguresReport, String> {
+    /// Runs `requests` in order, one response each.
+    fn run(&mut self, requests: Vec<ExperimentRequest>) -> Result<Vec<ExperimentResponse>, String> {
         match self {
             Backend::Local(session) => {
-                run_experiments_in(session, selection).map_err(|e| e.to_string())
+                requests.iter().map(|request| request.run(session)).collect()
             }
-            Backend::Remote(client, _) => {
-                let responses = client
-                    .run(requests_for(selection, run.grid, run.classify, run.prune, run.audit))
-                    .map_err(|e| e.to_string())?;
-                assemble_report(run.corpus_size, run.seed, responses).map_err(|e| e.to_string())
-            }
+            Backend::Remote(client, _) => client.run(requests),
         }
+        .map_err(|e| e.to_string())
     }
-
-    /// Runs the cycle-accurate simulation experiment.
-    fn simulate(&mut self, run: &RunConfig) -> Result<SimulateReport, String> {
-        match self {
-            Backend::Local(session) => run_simulate_in(session).map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Simulate, run)? {
-                ExperimentResponse::Simulate(report) => Ok(report),
-                other => Err(wrong_document("simulate", &other)),
-            },
-        }
-    }
-
-    /// Runs the Fig. 7 design-space sweep (certificate-pruned with `--prune
-    /// true`).
-    fn sweep(&mut self, run: &RunConfig) -> Result<SweepReport, String> {
-        match self {
-            Backend::Local(session) => if run.prune {
-                run_pruned_sweep_in(session, run.grid, run.classify, run.audit)
-            } else {
-                run_sweep_in(session, run.grid, run.classify)
-            }
-            .map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Sweep, run)? {
-                ExperimentResponse::Sweep(report) => Ok(report),
-                other => Err(wrong_document("sweep", &other)),
-            },
-        }
-    }
-
-    /// Runs the static-verification experiment.
-    fn verify(&mut self, run: &RunConfig) -> Result<VerifyReport, String> {
-        match self {
-            Backend::Local(session) => run_verify_in(session).map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Verify, run)? {
-                ExperimentResponse::Verify(report) => Ok(report),
-                other => Err(wrong_document("verify", &other)),
-            },
-        }
-    }
-}
-
-/// Runs a single-document selection on the daemon and returns its one response.
-fn one_response(
-    client: &mut ServeClient,
-    selection: Selection,
-    run: &RunConfig,
-) -> Result<ExperimentResponse, String> {
-    let mut responses = client
-        .run(requests_for(selection, run.grid, run.classify, run.prune, run.audit))
-        .map_err(|e| e.to_string())?;
-    match responses.len() {
-        1 => Ok(responses.remove(0)),
-        n => {
-            Err(VliwError::Protocol(format!("expected one response document, got {n}")).to_string())
-        }
-    }
-}
-
-/// Diagnoses a daemon answering a single-document request with the wrong kind.
-fn wrong_document(asked: &str, got: &ExperimentResponse) -> String {
-    format!("asked the server for `{asked}`, it answered `{}`", got.name())
 }
 
 /// Serializes and prints one report document on stdout (pretty) and the session
@@ -240,79 +181,31 @@ fn run_selection(selection: Selection, run: &RunConfig) -> Result<(), String> {
     }
 
     let mut backend = Backend::open(run)?;
-
-    if selection == Selection::Simulate {
-        let report = backend.simulate(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Simulation run: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_simulate_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    if selection == Selection::Verify {
-        let report = backend.verify(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Verification run: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_verify_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    if selection == Selection::Sweep {
-        let report = backend.sweep(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Design-space sweep: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_sweep_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    let report = backend.figures(selection, run)?;
+    let responses = backend.run(selection.requests())?;
     let stats = backend.stats()?;
     match run.format {
-        OutputFormat::Json => emit_json(&report, &stats)?,
+        OutputFormat::Json if selection.is_figure() => {
+            let report =
+                assemble_report(run.corpus_size, run.seed, responses).map_err(|e| e.to_string())?;
+            emit_json(&report, &stats)?;
+        }
+        // `simulate`, `sweep` and `verify` are one document each.
+        OutputFormat::Json => {
+            for response in &responses {
+                emit_json(&response.body(), &stats)?;
+            }
+        }
         OutputFormat::Text => {
             println!(
-                "# Reproduction run: {} loops, seed {}, {} threads\n",
-                report.corpus_size,
-                report.seed,
+                "# {}: {} loops, seed {}, {} threads\n",
+                selection.run_label(),
+                run.corpus_size,
+                run.seed,
                 backend.threads()
             );
-            print!("{}", render_text(&report));
+            for response in &responses {
+                print!("{}", response.render());
+            }
             println!();
             print!("{}", render_stats(&stats));
         }

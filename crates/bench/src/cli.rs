@@ -135,7 +135,7 @@ pub fn command() -> Command {
 /// Returns a user-facing error message for out-of-range or unparsable values (the
 /// vendored clap stores raw strings, so numeric validation happens here).
 pub fn resolve(matches: &ArgMatches) -> Result<(Selection, RunConfig), String> {
-    let selection = match matches.subcommand() {
+    let mut selection = match matches.subcommand() {
         None => Selection::All,
         Some((name, _)) => Selection::from_subcommand(name)
             .ok_or_else(|| format!("unknown subcommand `{name}`"))?,
@@ -156,31 +156,28 @@ pub fn resolve(matches: &ArgMatches) -> Result<(Selection, RunConfig), String> {
         .parse()
         .map_err(|e: String| format!("invalid --format: {e}"))?;
     // `--grid`, `--classify`, `--prune` and `--audit` live on the `sweep`
-    // subcommand (they mean nothing elsewhere).
-    let (grid, classify, prune, audit): (SweepGrid, Classify, bool, usize) =
-        match matches.subcommand() {
-            Some(("sweep", sub)) => (
-                sub.get_one::<String>("grid")
-                    .expect("--grid has a default")
-                    .parse()
-                    .map_err(|e: String| format!("invalid --grid: {e}"))?,
-                sub.get_one::<String>("classify")
-                    .expect("--classify has a default")
-                    .parse()
-                    .map_err(|e: String| format!("invalid --classify: {e}"))?,
-                {
-                    let raw: String = sub.get_one("prune").expect("--prune has a default");
-                    raw.parse().map_err(|e| format!("invalid --prune `{raw}`: {e}"))?
-                },
-                {
-                    let raw: String = sub.get_one("audit").expect("--audit has a default");
-                    raw.parse().map_err(|e| format!("invalid --audit `{raw}`: {e}"))?
-                },
-            ),
-            _ => (SweepGrid::default(), Classify::default(), false, 0),
-        };
-    if audit > 0 && !prune {
-        return Err("--audit samples the pruned driver's verdicts; pass --prune true".to_string());
+    // subcommand (they mean nothing elsewhere) and travel in its selection.
+    if let Some(("sweep", sub)) = matches.subcommand() {
+        let grid: SweepGrid = sub
+            .get_one::<String>("grid")
+            .expect("--grid has a default")
+            .parse()
+            .map_err(|e: String| format!("invalid --grid: {e}"))?;
+        let classify: Classify = sub
+            .get_one::<String>("classify")
+            .expect("--classify has a default")
+            .parse()
+            .map_err(|e: String| format!("invalid --classify: {e}"))?;
+        let raw: String = sub.get_one("prune").expect("--prune has a default");
+        let prune: bool = raw.parse().map_err(|e| format!("invalid --prune `{raw}`: {e}"))?;
+        let raw: String = sub.get_one("audit").expect("--audit has a default");
+        let audit: usize = raw.parse().map_err(|e| format!("invalid --audit `{raw}`: {e}"))?;
+        if audit > 0 && !prune {
+            return Err(
+                "--audit samples the pruned driver's verdicts; pass --prune true".to_string()
+            );
+        }
+        selection = Selection::Sweep { grid, classify, prune, audit };
     }
     // Likewise `--shard-size` belongs to `stream` alone.
     let shard_size: usize = match matches.subcommand() {
@@ -210,20 +207,7 @@ pub fn resolve(matches: &ArgMatches) -> Result<(Selection, RunConfig), String> {
 
     Ok((
         selection,
-        RunConfig {
-            corpus_size,
-            seed,
-            threads,
-            format,
-            grid,
-            classify,
-            prune,
-            audit,
-            shard_size,
-            server,
-            cache_dir,
-            trace,
-        },
+        RunConfig { corpus_size, seed, threads, format, shard_size, server, cache_dir, trace },
     ))
 }
 
@@ -275,12 +259,16 @@ mod tests {
             ("resources", Selection::Resources),
             ("ipc", Selection::Ipc),
             ("simulate", Selection::Simulate),
-            ("sweep", Selection::Sweep),
+            ("sweep", Selection::SWEEP),
             ("stream", Selection::Stream),
             ("verify", Selection::Verify),
+            ("metrics", Selection::Metrics),
             ("all", Selection::All),
         ] {
-            let (selection, _) = parse(&[name]).unwrap();
+            // `metrics` needs a daemon address; every other subcommand parses bare.
+            let args: &[&str] =
+                if name == "metrics" { &[name, "--server", "127.0.0.1:7421"] } else { &[name] };
+            let (selection, _) = parse(args).unwrap();
             assert_eq!(selection, expected, "subcommand {name}");
         }
     }
@@ -300,19 +288,26 @@ mod tests {
         assert!(parse(&["fig3", "--shard-size", "64"]).is_err());
     }
 
+    /// The sweep parameters `args` resolve to.
+    fn sweep(args: &[&str]) -> (SweepGrid, Classify, bool, usize) {
+        match parse(args) {
+            Ok((Selection::Sweep { grid, classify, prune, audit }, _)) => {
+                (grid, classify, prune, audit)
+            }
+            other => panic!("{args:?} did not resolve to a sweep: {other:?}"),
+        }
+    }
+
     #[test]
     fn sweep_grid_parses_with_a_small_default() {
-        let (selection, run) = parse(&["sweep"]).unwrap();
-        assert_eq!(selection, Selection::Sweep);
-        assert_eq!(run.grid, SweepGrid::Small);
+        assert_eq!(parse(&["sweep"]).unwrap().0, Selection::SWEEP);
         for (raw, expected) in [
             ("small", SweepGrid::Small),
             ("paper", SweepGrid::Paper),
             ("full", SweepGrid::Full),
             ("huge", SweepGrid::Huge),
         ] {
-            let (_, run) = parse(&["sweep", "--grid", raw]).unwrap();
-            assert_eq!(run.grid, expected, "--grid {raw}");
+            assert_eq!(sweep(&["sweep", "--grid", raw]).0, expected, "--grid {raw}");
         }
         assert!(parse(&["sweep", "--grid", "tiny"]).unwrap_err().contains("--grid"));
         // `--grid` belongs to `sweep` alone.
@@ -321,12 +316,9 @@ mod tests {
 
     #[test]
     fn sweep_classify_parses_with_a_dynamic_default() {
-        let (_, run) = parse(&["sweep"]).unwrap();
-        assert_eq!(run.classify, Classify::Dynamic);
-        let (_, run) = parse(&["sweep", "--classify", "static"]).unwrap();
-        assert_eq!(run.classify, Classify::Static);
-        let (_, run) = parse(&["sweep", "--classify", "dynamic"]).unwrap();
-        assert_eq!(run.classify, Classify::Dynamic);
+        assert_eq!(sweep(&["sweep"]).1, Classify::Dynamic);
+        assert_eq!(sweep(&["sweep", "--classify", "static"]).1, Classify::Static);
+        assert_eq!(sweep(&["sweep", "--classify", "dynamic"]).1, Classify::Dynamic);
         assert!(parse(&["sweep", "--classify", "cycle"]).unwrap_err().contains("--classify"));
         // `--classify` belongs to `sweep` alone.
         assert!(parse(&["verify", "--classify", "static"]).is_err());
@@ -334,16 +326,17 @@ mod tests {
 
     #[test]
     fn sweep_prune_and_audit_parse_with_safe_defaults() {
-        let (_, run) = parse(&["sweep"]).unwrap();
-        assert!(!run.prune);
-        assert_eq!(run.audit, 0);
-        let (_, run) = parse(&["sweep", "--prune", "true"]).unwrap();
-        assert!(run.prune);
-        assert_eq!(run.audit, 0);
-        let (_, run) =
-            parse(&["sweep", "--grid", "huge", "--prune", "true", "--audit", "64"]).unwrap();
-        assert!(run.prune);
-        assert_eq!(run.audit, 64);
+        let (_, _, prune, audit) = sweep(&["sweep"]);
+        assert!(!prune);
+        assert_eq!(audit, 0);
+        let (_, _, prune, audit) = sweep(&["sweep", "--prune", "true"]);
+        assert!(prune);
+        assert_eq!(audit, 0);
+        let (grid, _, prune, audit) =
+            sweep(&["sweep", "--grid", "huge", "--prune", "true", "--audit", "64"]);
+        assert_eq!(grid, SweepGrid::Huge);
+        assert!(prune);
+        assert_eq!(audit, 64);
         assert!(parse(&["sweep", "--prune", "maybe"]).unwrap_err().contains("--prune"));
         assert!(parse(&["sweep", "--prune", "true", "--audit", "many"])
             .unwrap_err()
@@ -381,8 +374,7 @@ mod tests {
             "386",
         ])
         .unwrap();
-        assert_eq!(selection, Selection::Sweep);
-        assert_eq!(run.grid, SweepGrid::Small);
+        assert_eq!(selection, Selection::SWEEP);
         assert_eq!(run.corpus_size, 32);
         assert_eq!(run.seed, 386);
         assert_eq!(run.format, OutputFormat::Json);

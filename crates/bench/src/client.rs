@@ -75,18 +75,15 @@ impl ServeClient {
         }
     }
 
-    /// Runs experiments over the daemon's session, in order.
+    /// Runs experiments over the daemon's session, in order.  The answer must
+    /// hold one response per request, each naming the experiment asked for.
     pub fn run(
         &mut self,
         requests: Vec<ExperimentRequest>,
     ) -> Result<Vec<ExperimentResponse>, VliwError> {
-        let expected = requests.len();
+        let names: Vec<&'static str> = requests.iter().map(ExperimentRequest::name).collect();
         match self.round_trip(WireRequest::Run(requests))? {
-            WireResponse::Run(responses) if responses.len() == expected => Ok(responses),
-            WireResponse::Run(responses) => Err(VliwError::Protocol(format!(
-                "server answered {} experiments, expected {expected}",
-                responses.len()
-            ))),
+            WireResponse::Run(responses) => check_batch(&names, responses),
             other => Err(unexpected("run", &other)),
         }
     }
@@ -114,6 +111,31 @@ impl ServeClient {
             other => Err(unexpected("shutdown", &other)),
         }
     }
+}
+
+/// Accepts a daemon's `run` answer only if it pairs up with the requested
+/// experiment names: same count, same experiment at every position.  A
+/// mismatch would otherwise file a document under the wrong report field.
+fn check_batch(
+    asked: &[&str],
+    responses: Vec<ExperimentResponse>,
+) -> Result<Vec<ExperimentResponse>, VliwError> {
+    if responses.len() != asked.len() {
+        return Err(VliwError::Protocol(format!(
+            "server answered {} experiments, expected {}",
+            responses.len(),
+            asked.len()
+        )));
+    }
+    for (i, (asked, got)) in asked.iter().zip(&responses).enumerate() {
+        if got.name() != *asked {
+            return Err(VliwError::Protocol(format!(
+                "response {i} is `{}`, the request asked for `{asked}`",
+                got.name()
+            )));
+        }
+    }
+    Ok(responses)
 }
 
 /// Diagnoses a response body of the wrong kind.
@@ -195,6 +217,21 @@ mod tests {
         assert_eq!(err.kind(), "protocol");
         assert!(err.to_string().contains("bad frame"), "{err}");
         server.join().unwrap();
+    }
+
+    #[test]
+    fn mismatched_run_batches_are_protocol_errors() {
+        let asked = ["fig3", "fig4"];
+        let swapped =
+            vec![ExperimentResponse::Fig4(Vec::new()), ExperimentResponse::Fig3(Vec::new())];
+        let err = check_batch(&asked, swapped).expect_err("a swapped batch must be rejected");
+        assert_eq!(err.kind(), "protocol");
+        assert!(err.to_string().contains("`fig4`") && err.to_string().contains("`fig3`"), "{err}");
+        let short = vec![ExperimentResponse::Fig3(Vec::new())];
+        assert_eq!(check_batch(&asked, short).unwrap_err().kind(), "protocol");
+        let matching =
+            vec![ExperimentResponse::Fig3(Vec::new()), ExperimentResponse::Fig4(Vec::new())];
+        assert_eq!(check_batch(&asked, matching.clone()).unwrap(), matching);
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //!   `--format json` emits the same data as a machine-readable [`FiguresReport`],
 //!   which the golden-baseline regression test diffs against
 //!   `baselines/figures_small.json`;
-//! * `cargo bench -p vliw-bench` times each experiment driver and the individual
-//!   scheduler passes.
+//! * `cargo bench -p vliw-bench` times the scheduler passes (`scheduler_micro`),
+//!   the simulator (`sim_kernel`) and the design-space sweep (`sweep_grid`).
+//!
+//! Every experiment document takes one path: a [`Selection`] expands to its
+//! [`ExperimentRequest`]s ([`Selection::requests`]), each request runs through
+//! [`ExperimentRequest::run`] — in this process, or in a `vliw-serve` daemon
+//! that calls the same function — and each response renders through
+//! [`ExperimentResponse::render`].  Figure selections fold their responses into
+//! one [`FiguresReport`] ([`assemble_report`]); `simulate`, `sweep` and
+//! `verify` are single documents of their own.
 //!
 //! All experiments run through one shared [`Session`] per invocation: the corpus
 //! is generated once, overlapping sweep points across drivers compile once, and
@@ -24,14 +32,8 @@ pub mod perf;
 
 use serde::{Deserialize, Serialize};
 use vliw_core::experiments::{
-    cluster_resources_experiment, copy_cost_experiment, fig3_experiment, fig4_experiment,
-    fig6_experiment, fig8_experiment, fig9_experiment, pruned_sweep_experiment_with,
-    simulate_experiment, sweep_experiment_with, verify_experiment, Classify, ClusterResourcesRow,
-    CopyCostRow, ExperimentConfig, ExperimentRequest, ExperimentResponse, Fig3Row, Fig4Row,
-    Fig6Row, IpcCurvePoint, SimulateReport, SweepReport, VerifyReport,
-};
-use vliw_core::experiments::{
-    copy_cost, fig3, fig4, fig6, ipc, resources, simulate, sweep, verify,
+    Classify, ClusterResourcesRow, CopyCostRow, ExperimentConfig, ExperimentRequest,
+    ExperimentResponse, Fig3Row, Fig4Row, Fig6Row, IpcCurvePoint,
 };
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::session::{compile_stream, Session, SessionStats, StreamConfig, StreamReport};
@@ -103,16 +105,31 @@ pub enum Selection {
     /// Cycle-accurate simulation: dynamic verification plus simulated IPC.
     ///
     /// Deliberately **not** part of [`Selection::All`]: the simulated-IPC
-    /// report is a separate document ([`SimulateReport`]) with its own golden
-    /// baseline, and `figures all` stdout must stay byte-identical to
-    /// `baselines/figures_small.json`.
+    /// report is a separate document
+    /// ([`SimulateReport`](vliw_core::experiments::SimulateReport)) with its
+    /// own golden baseline, and `figures all` stdout must stay byte-identical
+    /// to `baselines/figures_small.json`.
     Simulate,
     /// The Fig. 7 machine design-space sweep.
     ///
     /// Like [`Selection::Simulate`], excluded from [`Selection::All`]: its
-    /// report ([`SweepReport`]) is a separate document pinned by
-    /// `baselines/sweep_small.json`.
-    Sweep,
+    /// report ([`SweepReport`](vliw_core::experiments::SweepReport)) is a
+    /// separate document pinned by `baselines/sweep_small.json`.
+    Sweep {
+        /// Design-space grid preset (`--grid`).
+        grid: SweepGrid,
+        /// Classification mode (`--classify`): dynamic (simulate each loop)
+        /// or static (prove the peaks with the verifier).
+        classify: Classify,
+        /// Use the certificate-pruned driver (`--prune true`): one bounds
+        /// consultation per machine shape instead of one classification per
+        /// config, with verdict-identical rows.
+        prune: bool,
+        /// Seeded-random (config, loop) pairs the pruned driver re-derives
+        /// through the exhaustive path to audit verdict agreement (`--audit
+        /// N`; 0 = no audit).
+        audit: usize,
+    },
     /// Streamed corpus compilation: bounded shards, flat memory, aggregate
     /// metrics only ([`StreamReport`]).
     ///
@@ -121,8 +138,8 @@ pub enum Selection {
     /// memory behaviour, so `--server` is rejected.
     Stream,
     /// Static verification: the execution-free soundness proof of every
-    /// schedule ([`VerifyReport`]), the fast counterpart of
-    /// [`Selection::Simulate`].
+    /// schedule ([`VerifyReport`](vliw_core::experiments::VerifyReport)), the
+    /// fast counterpart of [`Selection::Simulate`].
     ///
     /// Excluded from [`Selection::All`] like the other separate documents;
     /// its report is pinned by `baselines/verify_small.json`.
@@ -139,7 +156,16 @@ pub enum Selection {
 }
 
 impl Selection {
-    /// Maps a `figures` subcommand name to a selection.
+    /// The default sweep: the small grid, dynamic classification, exhaustive.
+    pub const SWEEP: Selection = Selection::Sweep {
+        grid: SweepGrid::Small,
+        classify: Classify::Dynamic,
+        prune: false,
+        audit: 0,
+    };
+
+    /// Maps a `figures` subcommand name to a selection (`sweep` with its
+    /// default parameters).
     pub fn from_subcommand(name: &str) -> Option<Selection> {
         match name {
             "fig3" => Some(Selection::Fig3),
@@ -149,7 +175,7 @@ impl Selection {
             "resources" => Some(Selection::Resources),
             "ipc" => Some(Selection::Ipc),
             "simulate" => Some(Selection::Simulate),
-            "sweep" => Some(Selection::Sweep),
+            "sweep" => Some(Selection::SWEEP),
             "stream" => Some(Selection::Stream),
             "verify" => Some(Selection::Verify),
             "metrics" => Some(Selection::Metrics),
@@ -158,20 +184,61 @@ impl Selection {
         }
     }
 
-    fn runs(self, which: Selection) -> bool {
+    /// True for the selections whose documents fold into one
+    /// [`FiguresReport`]: the individual figures and `all`.
+    pub fn is_figure(self) -> bool {
+        !matches!(
+            self,
+            Selection::Simulate
+                | Selection::Sweep { .. }
+                | Selection::Stream
+                | Selection::Verify
+                | Selection::Metrics
+        )
+    }
+
+    /// The experiment requests this selection runs, in report order.
+    ///
+    /// [`Selection::Ipc`] expands to both IPC curves and [`Selection::All`] to
+    /// the full figure sweep (everything a [`FiguresReport`] holds).
+    /// `Stream` and `Metrics` are no experiment requests and expand to
+    /// nothing: a streamed run measures this process's memory, and a metrics
+    /// scrape is a protocol-level frame.
+    pub fn requests(self) -> Vec<ExperimentRequest> {
+        let resources =
+            || ExperimentRequest::Resources { cluster_counts: RESOURCE_CLUSTER_COUNTS.to_vec() };
         match self {
-            // `all` is the figure sweep; the simulation, design-space,
-            // streamed-compile and verification reports are separate documents
-            // (see [`Selection::Simulate`], [`Selection::Sweep`],
-            // [`Selection::Stream`] and [`Selection::Verify`]).
-            Selection::All => {
-                which != Selection::Simulate
-                    && which != Selection::Sweep
-                    && which != Selection::Stream
-                    && which != Selection::Verify
-                    && which != Selection::Metrics
+            Selection::Fig3 => vec![ExperimentRequest::Fig3],
+            Selection::CopyCost => vec![ExperimentRequest::CopyCost],
+            Selection::Fig4 => vec![ExperimentRequest::Fig4],
+            Selection::Fig6 => vec![ExperimentRequest::Fig6],
+            Selection::Resources => vec![resources()],
+            Selection::Ipc => vec![ExperimentRequest::Fig8, ExperimentRequest::Fig9],
+            Selection::Simulate => vec![ExperimentRequest::Simulate],
+            Selection::Sweep { grid, classify, prune, audit } => {
+                vec![ExperimentRequest::Sweep { grid, classify, prune, audit }]
             }
-            s => s == which,
+            Selection::Verify => vec![ExperimentRequest::Verify],
+            Selection::Stream | Selection::Metrics => Vec::new(),
+            Selection::All => vec![
+                ExperimentRequest::Fig3,
+                ExperimentRequest::CopyCost,
+                ExperimentRequest::Fig4,
+                ExperimentRequest::Fig6,
+                resources(),
+                ExperimentRequest::Fig8,
+                ExperimentRequest::Fig9,
+            ],
+        }
+    }
+
+    /// The text-mode header's name for an experiment run.
+    pub fn run_label(self) -> &'static str {
+        match self {
+            Selection::Simulate => "Simulation run",
+            Selection::Sweep { .. } => "Design-space sweep",
+            Selection::Verify => "Verification run",
+            _ => "Reproduction run",
         }
     }
 }
@@ -187,22 +254,6 @@ pub struct RunConfig {
     pub threads: Option<usize>,
     /// Output format.
     pub format: OutputFormat,
-    /// Design-space grid preset of the `sweep` subcommand (ignored by every
-    /// other selection).
-    pub grid: SweepGrid,
-    /// Classification mode of the `sweep` subcommand: dynamic (simulate each
-    /// loop) or static (prove the peaks with the verifier).  Ignored by every
-    /// other selection.
-    pub classify: Classify,
-    /// Use the certificate-pruned sweep driver (the `sweep` subcommand's
-    /// `--prune true`): one bounds consultation per machine shape instead of
-    /// one classification per config, with verdict-identical rows.  Ignored by
-    /// every other selection.
-    pub prune: bool,
-    /// Number of seeded-random (config, loop) pairs the pruned sweep re-derives
-    /// through the exhaustive path to audit verdict agreement (the `sweep`
-    /// subcommand's `--audit N`; 0 = no audit).  Ignored without `prune`.
-    pub audit: usize,
     /// Shard size of the `stream` subcommand (ignored by every other
     /// selection).
     pub shard_size: usize,
@@ -250,10 +301,6 @@ impl Default for RunConfig {
             seed: vliw_core::CorpusConfig::paper_default().seed,
             threads: None,
             format: OutputFormat::Text,
-            grid: SweepGrid::Small,
-            classify: Classify::default(),
-            prune: false,
-            audit: 0,
             shard_size: vliw_core::session::DEFAULT_SHARD_SIZE,
             server: None,
             cache_dir: None,
@@ -286,118 +333,30 @@ pub struct FiguresReport {
     pub fig9_ipc: Option<Vec<IpcCurvePoint>>,
 }
 
-/// Runs the selected experiments over a shared compilation session.
+/// Runs a figure selection's requests over a shared compilation session and
+/// assembles their documents into one [`FiguresReport`].
 ///
 /// The corpus is generated once (by the session), identical sweep points across
 /// drivers compile once, and `session.stats()` afterwards tells how much work the
-/// cache shared — the `figures` CLI reports those numbers.
-///
-/// # Panics
-///
-/// Panics on [`Selection::Simulate`] and [`Selection::Sweep`]: those produce
-/// their own report documents ([`SimulateReport`] / [`SweepReport`]), not a
-/// [`FiguresReport`] — route them to [`run_simulate_in`] / [`run_sweep_in`]
-/// instead (as the `figures` binary does).
+/// cache shared — the `figures` CLI reports those numbers.  A selection that is
+/// not a figure selection ([`Selection::is_figure`]) produces a document of its
+/// own and is rejected with [`VliwError::InvalidRequest`].
 pub fn run_experiments_in(
     session: &Session,
     selection: Selection,
 ) -> Result<FiguresReport, VliwError> {
-    assert!(
-        selection != Selection::Simulate,
-        "Selection::Simulate produces a SimulateReport; call run_simulate_in"
-    );
-    assert!(
-        selection != Selection::Sweep,
-        "Selection::Sweep produces a SweepReport; call run_sweep_in"
-    );
-    assert!(
-        selection != Selection::Stream,
-        "Selection::Stream produces a StreamReport; call run_stream"
-    );
-    assert!(
-        selection != Selection::Verify,
-        "Selection::Verify produces a VerifyReport; call run_verify_in"
-    );
-    assert!(
-        selection != Selection::Metrics,
-        "Selection::Metrics scrapes a daemon; it never runs in-process"
-    );
-    Ok(FiguresReport {
-        corpus_size: session.config().corpus.num_loops,
-        seed: session.config().corpus.seed,
-        fig3: run_if(selection.runs(Selection::Fig3), || fig3_experiment(session))?,
-        copy_cost: run_if(selection.runs(Selection::CopyCost), || copy_cost_experiment(session))?,
-        fig4: run_if(selection.runs(Selection::Fig4), || fig4_experiment(session))?,
-        fig6: run_if(selection.runs(Selection::Fig6), || fig6_experiment(session))?,
-        cluster_resources: run_if(selection.runs(Selection::Resources), || {
-            cluster_resources_experiment(session, &RESOURCE_CLUSTER_COUNTS)
-        })?,
-        fig8_ipc: run_if(selection.runs(Selection::Ipc), || fig8_experiment(session))?,
-        fig9_ipc: run_if(selection.runs(Selection::Ipc), || fig9_experiment(session))?,
-    })
-}
-
-/// Runs `f` when `wanted`, lifting the driver's `Result` over the `Option`.
-fn run_if<T>(
-    wanted: bool,
-    f: impl FnOnce() -> Result<T, VliwError>,
-) -> Result<Option<T>, VliwError> {
-    if wanted {
-        f().map(Some)
-    } else {
-        Ok(None)
+    if !selection.is_figure() {
+        return Err(VliwError::InvalidRequest(format!(
+            "{selection:?} is not a figure selection; its document is not a FiguresReport"
+        )));
     }
-}
-
-/// Runs the selected experiments in a fresh session, discarding the cache
-/// statistics.  Convenience wrapper for callers that only need the report (the
-/// golden-baseline test, library users).
-pub fn run_experiments(selection: Selection, run: &RunConfig) -> Result<FiguresReport, VliwError> {
-    run_experiments_in(&Session::new(run.experiment_config()), selection)
-}
-
-/// Runs the simulated-IPC experiment (the `figures simulate` subcommand) over a
-/// shared compilation session.  The schedules are compiled through the same
-/// memo store the figure drivers use, so a session that already ran `all` only
-/// pays for the simulation itself.
-pub fn run_simulate_in(session: &Session) -> Result<SimulateReport, VliwError> {
-    simulate_experiment(session)
-}
-
-/// Runs the Fig. 7 design-space sweep (the `figures sweep` subcommand) over a
-/// shared compilation session.  Grid points sharing a machine shape compile and
-/// simulate (or verify) once; the session's cache statistics afterwards show
-/// the hit rate.
-pub fn run_sweep_in(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-) -> Result<SweepReport, VliwError> {
-    sweep_experiment_with(session, grid, classify)
-}
-
-/// Runs the certificate-pruned design-space sweep (the `figures sweep --prune
-/// true` invocation) over a shared compilation session.  The bounds analyzer
-/// is consulted once per (machine shape, loop) pair and the per-config rows
-/// are recovered by threshold transfer — verdict-identical to
-/// [`run_sweep_in`], with the [`vliw_core::experiments::PruneReport`]
-/// accounting attached to the report.  `audit` seeded-random (config, loop)
-/// pairs are re-derived through the exhaustive path and compared.
-pub fn run_pruned_sweep_in(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-    audit: usize,
-) -> Result<SweepReport, VliwError> {
-    pruned_sweep_experiment_with(session, grid, classify, audit)
-}
-
-/// Runs the static-verification experiment (the `figures verify` subcommand)
-/// over a shared compilation session.  Every verdict is memoised next to the
-/// compilation that produced it, so a session that already ran `all` pays only
-/// for the verification itself — and a repeat run pays nothing.
-pub fn run_verify_in(session: &Session) -> Result<VerifyReport, VliwError> {
-    verify_experiment(session)
+    let responses = selection
+        .requests()
+        .iter()
+        .map(|request| request.run(session))
+        .collect::<Result<Vec<_>, _>>()?;
+    let config = session.config();
+    assemble_report(config.corpus.num_loops, config.corpus.seed, responses)
 }
 
 /// Runs the streamed-compile experiment (the `figures stream` subcommand):
@@ -438,61 +397,12 @@ pub fn render_stream_text(report: &StreamReport) -> String {
     out
 }
 
-/// The wire requests a `figures` selection translates to, in report order.
+/// Assembles a [`FiguresReport`] from figure responses, run in-process or by
+/// a daemon.
 ///
-/// [`Selection::Ipc`] expands to both IPC curves; [`Selection::All`] to the
-/// full figure sweep (everything a [`FiguresReport`] holds).  `grid`,
-/// `classify`, `prune` and `audit` only matter for [`Selection::Sweep`].
-pub fn requests_for(
-    selection: Selection,
-    grid: SweepGrid,
-    classify: Classify,
-    prune: bool,
-    audit: usize,
-) -> Vec<ExperimentRequest> {
-    match selection {
-        Selection::Simulate => vec![ExperimentRequest::Simulate],
-        Selection::Sweep => vec![ExperimentRequest::Sweep { grid, classify, prune, audit }],
-        Selection::Verify => vec![ExperimentRequest::Verify],
-        // A streamed run has no wire form: it measures this process's memory,
-        // so the `figures` binary rejects `--server` before asking.
-        Selection::Stream => Vec::new(),
-        // A metrics scrape is a protocol-level frame, not an experiment; the
-        // `figures` binary sends it through `ServeClient::metrics` directly.
-        Selection::Metrics => Vec::new(),
-        _ => {
-            let mut requests = Vec::new();
-            if selection.runs(Selection::Fig3) {
-                requests.push(ExperimentRequest::Fig3);
-            }
-            if selection.runs(Selection::CopyCost) {
-                requests.push(ExperimentRequest::CopyCost);
-            }
-            if selection.runs(Selection::Fig4) {
-                requests.push(ExperimentRequest::Fig4);
-            }
-            if selection.runs(Selection::Fig6) {
-                requests.push(ExperimentRequest::Fig6);
-            }
-            if selection.runs(Selection::Resources) {
-                requests.push(ExperimentRequest::Resources {
-                    cluster_counts: RESOURCE_CLUSTER_COUNTS.to_vec(),
-                });
-            }
-            if selection.runs(Selection::Ipc) {
-                requests.push(ExperimentRequest::Fig8);
-                requests.push(ExperimentRequest::Fig9);
-            }
-            requests
-        }
-    }
-}
-
-/// Assembles a [`FiguresReport`] from daemon responses.
-///
-/// The responses self-identify, so order does not matter; a `simulate` or
-/// `sweep` document in the batch is a protocol error (those are separate
-/// reports, never part of a figure run).
+/// The responses self-identify, so order does not matter; a `simulate`,
+/// `sweep` or `verify` document in the batch is a protocol error (those are
+/// separate reports, never part of a figure run).
 pub fn assemble_report(
     corpus_size: usize,
     seed: u64,
@@ -531,60 +441,6 @@ pub fn assemble_report(
     Ok(report)
 }
 
-/// Renders a design-space-sweep report in the human-readable EXPERIMENTS.md
-/// format.
-pub fn render_sweep_text(report: &SweepReport) -> String {
-    let mut out = format!(
-        "## Fig. 7 design-space sweep — grid `{}` ({} configs, {} machine shapes, N = {})\n\n{}\n",
-        report.grid,
-        report.configs,
-        report.shapes,
-        report.trip_count,
-        sweep::render(&report.rows).render()
-    );
-    if let Some(prune) = &report.prune {
-        out.push_str(&format!(
-            "\n## Certificate pruning\n\n\
-             (config, loop) pairs  = {}\n\
-             consultations         = {}\n\
-             pruned                = {} ({:.1}%)\n",
-            prune.pairs,
-            prune.configs_compiled,
-            prune.configs_pruned,
-            100.0 * prune.pruning_ratio,
-        ));
-        for code in &prune.codes {
-            out.push_str(&format!("{:<22}= {}\n", code.code, code.count));
-        }
-        if prune.audited > 0 {
-            out.push_str(&format!(
-                "audited               = {} ({} agreed)\n",
-                prune.audited, prune.audit_agreed
-            ));
-        }
-    }
-    out
-}
-
-/// Renders a simulated-IPC report in the human-readable EXPERIMENTS.md format.
-pub fn render_simulate_text(report: &SimulateReport) -> String {
-    format!(
-        "## Simulated IPC — cycle-accurate execution (trip counts {:?})\n\n{}\n",
-        report.trip_counts,
-        simulate::render(&report.rows).render()
-    )
-}
-
-/// Renders a static-verification report in the human-readable EXPERIMENTS.md
-/// format.
-pub fn render_verify_text(report: &VerifyReport) -> String {
-    format!(
-        "## Static verification — execution-free soundness proof ({} loops)\n\n{}\n",
-        report.corpus_size,
-        verify::render(&report.rows).render()
-    )
-}
-
 /// Renders session cache statistics in the text-output format.
 pub fn render_stats(stats: &SessionStats) -> String {
     let mut out = format!(
@@ -613,42 +469,10 @@ pub fn render_stats(stats: &SessionStats) -> String {
     out
 }
 
-/// Renders a report in the human-readable EXPERIMENTS.md format.
-pub fn render_text(report: &FiguresReport) -> String {
-    let mut out = String::new();
-    let mut section = |title: &str, table: String| {
-        out.push_str(&format!("## {title}\n\n{table}\n"));
-    };
-    if let Some(rows) = &report.fig3 {
-        section("Fig. 3 — Number of queues (cumulative % of loops)", fig3::render(rows).render());
-    }
-    if let Some(rows) = &report.copy_cost {
-        section("Section 2 — Cost of copy operations", copy_cost::render(rows).render());
-    }
-    if let Some(rows) = &report.fig4 {
-        section("Fig. 4 — II speedup from loop unrolling", fig4::render(rows).render());
-    }
-    if let Some(rows) = &report.fig6 {
-        section("Fig. 6 — II variation of partitioned schedules", fig6::render(rows).render());
-    }
-    if let Some(rows) = &report.cluster_resources {
-        section("Fig. 7 / Section 4 — Cluster resource sizing", resources::render(rows).render());
-    }
-    if let Some(points) = &report.fig8_ipc {
-        section("Fig. 8 — Operations issued per cycle (all loops)", ipc::render(points).render());
-    }
-    if let Some(points) = &report.fig9_ipc {
-        section(
-            "Fig. 9 — Operations issued per cycle (resource-constrained loops)",
-            ipc::render(points).render(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vliw_core::experiments::{SimulateReport, SweepReport, VerifyReport};
 
     #[test]
     fn bench_config_is_small_and_deterministic() {
@@ -669,9 +493,10 @@ mod tests {
             ("resources", Selection::Resources),
             ("ipc", Selection::Ipc),
             ("simulate", Selection::Simulate),
-            ("sweep", Selection::Sweep),
+            ("sweep", Selection::SWEEP),
             ("stream", Selection::Stream),
             ("verify", Selection::Verify),
+            ("metrics", Selection::Metrics),
             ("all", Selection::All),
         ] {
             assert_eq!(Selection::from_subcommand(name), Some(expected));
@@ -682,39 +507,37 @@ mod tests {
     #[test]
     fn all_does_not_include_the_simulation_report() {
         // `figures all` stdout is pinned by baselines/figures_small.json; the
-        // simulated-IPC report is a separate document with its own baseline.
-        assert!(!Selection::All.runs(Selection::Simulate));
-        assert!(!Selection::All.runs(Selection::Sweep));
-        assert!(!Selection::All.runs(Selection::Stream));
-        assert!(!Selection::All.runs(Selection::Verify));
-        assert!(!Selection::All.runs(Selection::Metrics));
-        assert!(requests_for(Selection::Metrics, SweepGrid::Small, Classify::Dynamic, false, 0)
-            .is_empty());
-        assert!(Selection::Simulate.runs(Selection::Simulate));
-        assert!(Selection::Sweep.runs(Selection::Sweep));
-        assert!(Selection::Stream.runs(Selection::Stream));
-        assert!(Selection::Verify.runs(Selection::Verify));
-        assert!(!Selection::Simulate.runs(Selection::Fig3));
-        assert!(!Selection::Sweep.runs(Selection::Fig3));
-        assert!(!Selection::Stream.runs(Selection::Fig3));
-        assert!(!Selection::Verify.runs(Selection::Fig3));
-        assert!(requests_for(Selection::Stream, SweepGrid::Small, Classify::Dynamic, false, 0)
-            .is_empty());
+        // simulated-IPC, sweep and verify reports are separate documents.
+        let all = Selection::All.requests();
+        assert_eq!(all.len(), 7, "every FiguresReport field, once");
+        for request in &all {
+            assert!(
+                !matches!(
+                    request,
+                    ExperimentRequest::Simulate
+                        | ExperimentRequest::Sweep { .. }
+                        | ExperimentRequest::Verify
+                ),
+                "`all` must not run `{}`",
+                request.name()
+            );
+        }
+        assert!(Selection::All.is_figure() && Selection::Ipc.is_figure());
+        for single in [Selection::Simulate, Selection::SWEEP, Selection::Verify] {
+            assert!(!single.is_figure());
+            assert_eq!(single.requests().len(), 1, "{single:?} is one document");
+        }
+        assert!(Selection::Stream.requests().is_empty());
+        assert!(Selection::Metrics.requests().is_empty());
+        assert_eq!(Selection::Verify.requests(), vec![ExperimentRequest::Verify]);
         assert_eq!(
-            requests_for(Selection::Verify, SweepGrid::Small, Classify::Dynamic, false, 0),
-            vec![ExperimentRequest::Verify]
-        );
-        assert_eq!(
-            requests_for(Selection::Sweep, SweepGrid::Small, Classify::Static, false, 0),
-            vec![ExperimentRequest::Sweep {
-                grid: SweepGrid::Small,
+            Selection::Sweep {
+                grid: SweepGrid::Huge,
                 classify: Classify::Static,
-                prune: false,
-                audit: 0
-            }]
-        );
-        assert_eq!(
-            requests_for(Selection::Sweep, SweepGrid::Huge, Classify::Static, true, 64),
+                prune: true,
+                audit: 64
+            }
+            .requests(),
             vec![ExperimentRequest::Sweep {
                 grid: SweepGrid::Huge,
                 classify: Classify::Static,
@@ -724,27 +547,39 @@ mod tests {
         );
     }
 
+    /// Runs one request over `session`; tests unwrap the variant they asked for.
+    fn run_one(session: &Session, request: ExperimentRequest) -> ExperimentResponse {
+        request.run(session).expect("experiment runs")
+    }
+
+    fn sweep(grid: SweepGrid, classify: Classify, prune: bool, audit: usize) -> ExperimentRequest {
+        ExperimentRequest::Sweep { grid, classify, prune, audit }
+    }
+
     #[test]
     fn simulate_run_reports_cleanly_and_renders() {
         let run = RunConfig { corpus_size: 6, seed: 5, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_simulate_in(&session).unwrap();
+        let response = run_one(&session, ExperimentRequest::Simulate);
+        let ExperimentResponse::Simulate(report) = &response else { unreachable!() };
         assert_eq!(report.corpus_size, 6);
         assert_eq!(report.total_violations(), 0);
         assert!(session.stats().sim_runs > 0);
-        let text = render_simulate_text(&report);
+        let text = response.render();
         assert!(text.contains("Simulated IPC"));
         assert!(text.contains("violations"));
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
+        let json = serde_json::to_string_pretty(report).expect("serializable");
+        assert_eq!(json, serde_json::to_string_pretty(&response.body()).unwrap());
         let back: SimulateReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
     }
 
     #[test]
     fn verify_run_reports_cleanly_and_renders() {
         let run = RunConfig { corpus_size: 6, seed: 5, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_verify_in(&session).unwrap();
+        let response = run_one(&session, ExperimentRequest::Verify);
+        let ExperimentResponse::Verify(report) = &response else { unreachable!() };
         assert_eq!(report.corpus_size, 6);
         // Schedule faults indict the pipeline and must be zero; capacity
         // faults are a machine-sizing verdict and may legitimately fire
@@ -754,20 +589,20 @@ mod tests {
         }
         assert!(session.stats().verifications > 0);
         assert_eq!(session.stats().sim_runs, 0, "verification must not simulate");
-        let text = render_verify_text(&report);
+        let text = response.render();
         assert!(text.contains("Static verification"));
         assert!(text.contains("sched faults"));
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
+        let json = serde_json::to_string_pretty(report).expect("serializable");
         let back: VerifyReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
     }
 
     #[test]
     fn static_sweep_run_matches_the_dynamic_one() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let dynamic = run_sweep_in(&session, run.grid, Classify::Dynamic).unwrap();
-        let static_ = run_sweep_in(&session, run.grid, Classify::Static).unwrap();
+        let dynamic = run_one(&session, sweep(SweepGrid::Small, Classify::Dynamic, false, 0));
+        let static_ = run_one(&session, sweep(SweepGrid::Small, Classify::Static, false, 0));
         assert_eq!(static_, dynamic, "classification modes must agree row for row");
     }
 
@@ -775,36 +610,42 @@ mod tests {
     fn pruned_sweep_run_matches_the_exhaustive_one_and_renders_accounting() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let exhaustive = run_sweep_in(&session, run.grid, Classify::Static).unwrap();
-        let pruned = run_pruned_sweep_in(&session, run.grid, Classify::Static, 16).unwrap();
-        assert_eq!(pruned.rows, exhaustive.rows, "pruning must not change a verdict");
-        let prune = pruned.prune.as_ref().expect("a pruned run carries its accounting");
+        let exhaustive = run_one(&session, sweep(SweepGrid::Small, Classify::Static, false, 0));
+        let pruned = run_one(&session, sweep(SweepGrid::Small, Classify::Static, true, 16));
+        let (ExperimentResponse::Sweep(exhaustive_report), ExperimentResponse::Sweep(report)) =
+            (&exhaustive, &pruned)
+        else {
+            unreachable!()
+        };
+        assert_eq!(report.rows, exhaustive_report.rows, "pruning must not change a verdict");
+        let prune = report.prune.as_ref().expect("a pruned run carries its accounting");
         assert_eq!(prune.audited, 16);
         assert!(prune.audit_clean(), "audited pairs must agree with the exhaustive path");
-        let text = render_sweep_text(&pruned);
+        let text = pruned.render();
         assert!(text.contains("Certificate pruning"));
         assert!(text.contains("B006-MONOTONE"));
         assert!(text.contains("audited"));
         // The exhaustive report renders without the accounting section.
-        assert!(!render_sweep_text(&exhaustive).contains("Certificate pruning"));
+        assert!(!exhaustive.render().contains("Certificate pruning"));
     }
 
     #[test]
     fn sweep_run_reuses_the_session_and_renders() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_sweep_in(&session, run.grid, run.classify).unwrap();
+        let response = run_one(&session, Selection::SWEEP.requests().remove(0));
+        let ExperimentResponse::Sweep(report) = &response else { unreachable!() };
         assert_eq!(report.grid, "small");
         assert_eq!(report.rows.len(), 8);
         let stats = session.stats();
         assert!(stats.hits > 0, "grid points sharing a machine shape must hit the cache");
         assert!(stats.sim_hits > 0, "grid points sharing a machine shape must reuse sim runs");
-        let text = render_sweep_text(&report);
+        let text = response.render();
         assert!(text.contains("design-space sweep"));
         assert!(text.contains("storage bits"));
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
+        let json = serde_json::to_string_pretty(report).expect("serializable");
         let back: SweepReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
     }
 
     #[test]
@@ -849,7 +690,8 @@ mod tests {
     #[test]
     fn single_selection_runs_only_its_experiment() {
         let run = RunConfig { corpus_size: 8, seed: 5, threads: Some(1), ..RunConfig::default() };
-        let report = run_experiments(Selection::Fig4, &run).unwrap();
+        let session = Session::new(run.experiment_config());
+        let report = run_experiments_in(&session, Selection::Fig4).unwrap();
         assert!(report.fig4.is_some());
         assert!(report.fig3.is_none());
         assert!(report.copy_cost.is_none());
@@ -857,9 +699,25 @@ mod tests {
         assert!(report.cluster_resources.is_none());
         assert!(report.fig8_ipc.is_none());
         assert!(report.fig9_ipc.is_none());
-        let text = render_text(&report);
+        let text = ExperimentResponse::Fig4(report.fig4.unwrap()).render();
         assert!(text.contains("Fig. 4"));
         assert!(!text.contains("Fig. 3"));
+    }
+
+    #[test]
+    fn non_figure_selections_are_rejected_with_a_typed_error() {
+        let session = Session::quick(4, 5);
+        for selection in [
+            Selection::Simulate,
+            Selection::SWEEP,
+            Selection::Stream,
+            Selection::Verify,
+            Selection::Metrics,
+        ] {
+            let err = run_experiments_in(&session, selection).expect_err("not a figure run");
+            assert_eq!(err.kind(), "invalid_request", "{selection:?}: {err}");
+        }
+        assert_eq!(session.stats().compilations, 0, "a rejected selection runs nothing");
     }
 
     #[test]
@@ -904,7 +762,7 @@ mod tests {
                 }
                 Selection::All
                 | Selection::Simulate
-                | Selection::Sweep
+                | Selection::Sweep { .. }
                 | Selection::Stream
                 | Selection::Verify
                 | Selection::Metrics => {
@@ -962,7 +820,8 @@ mod tests {
     #[test]
     fn json_report_round_trips_through_serde() {
         let run = RunConfig { corpus_size: 8, seed: 5, threads: Some(1), ..RunConfig::default() };
-        let report = run_experiments(Selection::Fig6, &run).unwrap();
+        let report =
+            run_experiments_in(&Session::new(run.experiment_config()), Selection::Fig6).unwrap();
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: FiguresReport = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, report);

@@ -20,8 +20,10 @@
 
 use std::path::PathBuf;
 
-use vliw_bench::{run_pruned_sweep_in, run_sweep_in, RunConfig};
-use vliw_core::experiments::{Classify, SweepReport};
+use vliw_bench::RunConfig;
+use vliw_core::experiments::{
+    pruned_sweep_experiment_with, sweep_experiment_with, Classify, SweepReport,
+};
 use vliw_core::{Session, SweepGrid};
 
 fn baseline_path() -> PathBuf {
@@ -76,7 +78,8 @@ fn rerun_matches_the_sweep_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_sweep_in(&session, SweepGrid::Small, Classify::Dynamic).expect("sweep runs");
+    let report =
+        sweep_experiment_with(&session, SweepGrid::Small, Classify::Dynamic).expect("sweep runs");
 
     // The memoisation contract: one machine shape in the grid means one key,
     // and the seven other grid points are served from the store — the
@@ -132,13 +135,12 @@ fn pruned_rerun_matches_its_baseline_and_the_exhaustive_verdicts() {
         corpus_size: baseline.corpus_size,
         seed: baseline.seed,
         threads: None,
-        prune: true,
-        audit: prune.audited,
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_pruned_sweep_in(&session, SweepGrid::Small, Classify::Dynamic, run.audit)
-        .expect("pruned sweep runs");
+    let report =
+        pruned_sweep_experiment_with(&session, SweepGrid::Small, Classify::Dynamic, prune.audited)
+            .expect("pruned sweep runs");
     assert_eq!(report, baseline, "pruned sweep drifted from its golden");
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
     assert_eq!(rendered.trim_end(), text.trim_end(), "serialized JSON drifted");
@@ -157,7 +159,8 @@ fn static_classification_reproduces_the_sweep_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_sweep_in(&session, SweepGrid::Small, Classify::Static).expect("sweep runs");
+    let report =
+        sweep_experiment_with(&session, SweepGrid::Small, Classify::Static).expect("sweep runs");
     assert_eq!(session.stats().sim_runs, 0, "the static sweep must not simulate");
     assert!(session.stats().verifications > 0);
     assert_eq!(report, baseline, "static classification drifted from the golden verdicts");

@@ -11,10 +11,10 @@
 //!   grid preset for the design-space sweep);
 //! * [`ExperimentResponse`] — the matching result document, wrapping the
 //!   driver's row type;
-//! * [`Experiment`] — the trait each driver implements once, tying a typed
-//!   output to a session run;
-//! * [`run_request`] / [`ExperimentRequest::run`] — the dispatch that turns a
-//!   request into a response over a shared [`Session`].
+//! * [`ExperimentRequest::run`] — the one dispatch from a request to its driver
+//!   over a shared [`Session`], used in-process and by the daemon alike;
+//! * [`ExperimentResponse::render`] — the one dispatch from a result document
+//!   to its titled text section.
 //!
 //! Both enums serialize through the vendored serde `Value` model with an
 //! `"experiment"` tag, so a request written by the CLI client is readable by the
@@ -31,189 +31,14 @@ use crate::error::VliwError;
 use crate::session::Session;
 
 use super::{
-    cluster_resources_experiment, copy_cost_experiment, fig3_experiment, fig4_experiment,
-    fig6_experiment, fig8_experiment, fig9_experiment, pruned_sweep_experiment_with,
-    simulate_experiment, sweep_experiment_with, verify_experiment, Classify, ClusterResourcesRow,
-    CopyCostRow, Fig3Row, Fig4Row, Fig6Row, IpcCurvePoint, SimulateReport, SweepReport,
-    VerifyReport,
+    cluster_resources_experiment, copy_cost, copy_cost_experiment, fig3, fig3_experiment, fig4,
+    fig4_experiment, fig6, fig6_experiment, fig8_experiment, fig9_experiment, ipc,
+    pruned_sweep_experiment_with, resources, simulate, simulate_experiment, sweep,
+    sweep_experiment_with, verify, verify_experiment, Classify, ClusterResourcesRow, CopyCostRow,
+    Fig3Row, Fig4Row, Fig6Row, IpcCurvePoint, SimulateReport, SweepReport, VerifyReport,
 };
 
-/// A typed experiment, tying a result document to a session run.
-///
-/// Implemented once per driver by a small request struct (e.g. [`Fig3`],
-/// [`Resources`]); [`ExperimentRequest`] is the closed serializable union of all
-/// of them, which is what dynamic callers (the CLI, the daemon) route on.
-pub trait Experiment {
-    /// The driver's result document.
-    type Output;
-
-    /// Stable name of the experiment (the CLI subcommand / wire tag).
-    fn name(&self) -> &'static str;
-
-    /// Runs the experiment over a shared session.
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError>;
-}
-
-/// Fig. 3 — number of queues required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig3;
-
-/// Section 2 — II / stage-count cost of copy insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CopyCost;
-
-/// Fig. 4 — II speedup from loop unrolling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig4;
-
-/// Fig. 6 — II variation of the partitioned schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig6;
-
-/// Fig. 7 / Section 4 — cluster resource sizing over the given cluster counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resources {
-    /// Cluster counts to evaluate (the paper's machines are 4/5/6).
-    pub cluster_counts: Vec<usize>,
-}
-
-/// Fig. 8 — operations issued per cycle, all loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig8;
-
-/// Fig. 9 — operations issued per cycle, resource-constrained loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig9;
-
-/// Cycle-accurate simulation — dynamic verification plus simulated IPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Simulate;
-
-/// The Fig. 7 machine design-space sweep over a grid preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Sweep {
-    /// Design-space preset to sweep.
-    pub grid: SweepGrid,
-    /// How each loop is classified against the storage budgets.
-    pub classify: Classify,
-    /// Use the certificate-pruned driver (verdict-identical, one compiler
-    /// consultation per machine shape and loop).
-    pub prune: bool,
-    /// With `prune`, re-derive this many randomly sampled pairs through the
-    /// exhaustive classification path and report the agreement rate.
-    pub audit: usize,
-}
-
-/// Static verification — execution-free soundness proof of every schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Verify;
-
-impl Experiment for Fig3 {
-    type Output = Vec<Fig3Row>;
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig3_experiment(session)
-    }
-}
-
-impl Experiment for CopyCost {
-    type Output = Vec<CopyCostRow>;
-    fn name(&self) -> &'static str {
-        "copy_cost"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        copy_cost_experiment(session)
-    }
-}
-
-impl Experiment for Fig4 {
-    type Output = Vec<Fig4Row>;
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig4_experiment(session)
-    }
-}
-
-impl Experiment for Fig6 {
-    type Output = Vec<Fig6Row>;
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig6_experiment(session)
-    }
-}
-
-impl Experiment for Resources {
-    type Output = Vec<ClusterResourcesRow>;
-    fn name(&self) -> &'static str {
-        "resources"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        cluster_resources_experiment(session, &self.cluster_counts)
-    }
-}
-
-impl Experiment for Fig8 {
-    type Output = Vec<IpcCurvePoint>;
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig8_experiment(session)
-    }
-}
-
-impl Experiment for Fig9 {
-    type Output = Vec<IpcCurvePoint>;
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig9_experiment(session)
-    }
-}
-
-impl Experiment for Simulate {
-    type Output = SimulateReport;
-    fn name(&self) -> &'static str {
-        "simulate"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        simulate_experiment(session)
-    }
-}
-
-impl Experiment for Sweep {
-    type Output = SweepReport;
-    fn name(&self) -> &'static str {
-        "sweep"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        if self.prune {
-            pruned_sweep_experiment_with(session, self.grid, self.classify, self.audit)
-        } else {
-            sweep_experiment_with(session, self.grid, self.classify)
-        }
-    }
-}
-
-impl Experiment for Verify {
-    type Output = VerifyReport;
-    fn name(&self) -> &'static str {
-        "verify"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        verify_experiment(session)
-    }
-}
-
-/// A serializable request for one experiment run — the closed union of every
-/// [`Experiment`] impl, including its parameters.
+/// A serializable request for one experiment run, including its parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentRequest {
     /// Fig. 3 — number of queues required.
@@ -294,36 +119,32 @@ impl ExperimentRequest {
 
     /// Runs the requested experiment over `session` and wraps its rows.
     pub fn run(&self, session: &Session) -> Result<ExperimentResponse, VliwError> {
-        match self {
-            ExperimentRequest::Fig3 => Fig3.run(session).map(ExperimentResponse::Fig3),
-            ExperimentRequest::CopyCost => CopyCost.run(session).map(ExperimentResponse::CopyCost),
-            ExperimentRequest::Fig4 => Fig4.run(session).map(ExperimentResponse::Fig4),
-            ExperimentRequest::Fig6 => Fig6.run(session).map(ExperimentResponse::Fig6),
-            ExperimentRequest::Resources { cluster_counts } => {
-                Resources { cluster_counts: cluster_counts.clone() }
-                    .run(session)
-                    .map(ExperimentResponse::Resources)
+        Ok(match self {
+            ExperimentRequest::Fig3 => ExperimentResponse::Fig3(fig3_experiment(session)?),
+            ExperimentRequest::CopyCost => {
+                ExperimentResponse::CopyCost(copy_cost_experiment(session)?)
             }
-            ExperimentRequest::Fig8 => Fig8.run(session).map(ExperimentResponse::Fig8),
-            ExperimentRequest::Fig9 => Fig9.run(session).map(ExperimentResponse::Fig9),
-            ExperimentRequest::Simulate => Simulate.run(session).map(ExperimentResponse::Simulate),
-            ExperimentRequest::Sweep { grid, classify, prune, audit } => {
-                Sweep { grid: *grid, classify: *classify, prune: *prune, audit: *audit }
-                    .run(session)
-                    .map(ExperimentResponse::Sweep)
+            ExperimentRequest::Fig4 => ExperimentResponse::Fig4(fig4_experiment(session)?),
+            ExperimentRequest::Fig6 => ExperimentResponse::Fig6(fig6_experiment(session)?),
+            ExperimentRequest::Resources { cluster_counts } => ExperimentResponse::Resources(
+                cluster_resources_experiment(session, cluster_counts)?,
+            ),
+            ExperimentRequest::Fig8 => ExperimentResponse::Fig8(fig8_experiment(session)?),
+            ExperimentRequest::Fig9 => ExperimentResponse::Fig9(fig9_experiment(session)?),
+            ExperimentRequest::Simulate => {
+                ExperimentResponse::Simulate(simulate_experiment(session)?)
             }
-            ExperimentRequest::Verify => Verify.run(session).map(ExperimentResponse::Verify),
-        }
+            ExperimentRequest::Sweep { grid, classify, prune: true, audit } => {
+                ExperimentResponse::Sweep(pruned_sweep_experiment_with(
+                    session, *grid, *classify, *audit,
+                )?)
+            }
+            ExperimentRequest::Sweep { grid, classify, prune: false, .. } => {
+                ExperimentResponse::Sweep(sweep_experiment_with(session, *grid, *classify)?)
+            }
+            ExperimentRequest::Verify => ExperimentResponse::Verify(verify_experiment(session)?),
+        })
     }
-}
-
-/// Runs one request over a shared session — free-function spelling of
-/// [`ExperimentRequest::run`] for callers that prefer dispatch at arm's length.
-pub fn run_request(
-    session: &Session,
-    request: &ExperimentRequest,
-) -> Result<ExperimentResponse, VliwError> {
-    request.run(session)
 }
 
 impl ExperimentResponse {
@@ -343,22 +164,98 @@ impl ExperimentResponse {
         }
     }
 
-    /// Renders this response's rows as the driver's text table — the shared
-    /// render dispatch behind the CLI's text mode.
-    pub fn render_table(&self) -> String {
+    /// The result document itself, without the wire envelope: the value a
+    /// `figures` run prints for a single-document selection.
+    pub fn body(&self) -> Value {
         match self {
-            ExperimentResponse::Fig3(rows) => super::fig3::render(rows).render(),
-            ExperimentResponse::CopyCost(rows) => super::copy_cost::render(rows).render(),
-            ExperimentResponse::Fig4(rows) => super::fig4::render(rows).render(),
-            ExperimentResponse::Fig6(rows) => super::fig6::render(rows).render(),
-            ExperimentResponse::Resources(rows) => super::resources::render(rows).render(),
+            ExperimentResponse::Fig3(rows) => rows.serialize(),
+            ExperimentResponse::CopyCost(rows) => rows.serialize(),
+            ExperimentResponse::Fig4(rows) => rows.serialize(),
+            ExperimentResponse::Fig6(rows) => rows.serialize(),
+            ExperimentResponse::Resources(rows) => rows.serialize(),
             ExperimentResponse::Fig8(points) | ExperimentResponse::Fig9(points) => {
-                super::ipc::render(points).render()
+                points.serialize()
             }
-            ExperimentResponse::Simulate(report) => super::simulate::render(&report.rows).render(),
-            ExperimentResponse::Sweep(report) => super::sweep::render(&report.rows).render(),
-            ExperimentResponse::Verify(report) => super::verify::render(&report.rows).render(),
+            ExperimentResponse::Simulate(report) => report.serialize(),
+            ExperimentResponse::Sweep(report) => report.serialize(),
+            ExperimentResponse::Verify(report) => report.serialize(),
         }
+    }
+
+    /// Renders this response as a titled text section in the EXPERIMENTS.md
+    /// format — the CLI's text mode prints one per response.
+    pub fn render(&self) -> String {
+        let (title, table) = match self {
+            ExperimentResponse::Fig3(rows) => (
+                "Fig. 3 — Number of queues (cumulative % of loops)".to_string(),
+                fig3::render(rows),
+            ),
+            ExperimentResponse::CopyCost(rows) => {
+                ("Section 2 — Cost of copy operations".to_string(), copy_cost::render(rows))
+            }
+            ExperimentResponse::Fig4(rows) => {
+                ("Fig. 4 — II speedup from loop unrolling".to_string(), fig4::render(rows))
+            }
+            ExperimentResponse::Fig6(rows) => {
+                ("Fig. 6 — II variation of partitioned schedules".to_string(), fig6::render(rows))
+            }
+            ExperimentResponse::Resources(rows) => (
+                "Fig. 7 / Section 4 — Cluster resource sizing".to_string(),
+                resources::render(rows),
+            ),
+            ExperimentResponse::Fig8(points) => (
+                "Fig. 8 — Operations issued per cycle (all loops)".to_string(),
+                ipc::render(points),
+            ),
+            ExperimentResponse::Fig9(points) => (
+                "Fig. 9 — Operations issued per cycle (resource-constrained loops)".to_string(),
+                ipc::render(points),
+            ),
+            ExperimentResponse::Simulate(report) => (
+                format!(
+                    "Simulated IPC — cycle-accurate execution (trip counts {:?})",
+                    report.trip_counts
+                ),
+                simulate::render(&report.rows),
+            ),
+            ExperimentResponse::Sweep(report) => (
+                format!(
+                    "Fig. 7 design-space sweep — grid `{}` ({} configs, {} machine shapes, N = {})",
+                    report.grid, report.configs, report.shapes, report.trip_count
+                ),
+                sweep::render(&report.rows),
+            ),
+            ExperimentResponse::Verify(report) => (
+                format!(
+                    "Static verification — execution-free soundness proof ({} loops)",
+                    report.corpus_size
+                ),
+                verify::render(&report.rows),
+            ),
+        };
+        let mut out = format!("## {title}\n\n{}\n", table.render());
+        if let ExperimentResponse::Sweep(SweepReport { prune: Some(prune), .. }) = self {
+            out.push_str(&format!(
+                "\n## Certificate pruning\n\n\
+                 (config, loop) pairs  = {}\n\
+                 consultations         = {}\n\
+                 pruned                = {} ({:.1}%)\n",
+                prune.pairs,
+                prune.configs_compiled,
+                prune.configs_pruned,
+                100.0 * prune.pruning_ratio,
+            ));
+            for code in &prune.codes {
+                out.push_str(&format!("{:<22}= {}\n", code.code, code.count));
+            }
+            if prune.audited > 0 {
+                out.push_str(&format!(
+                    "audited               = {} ({} agreed)\n",
+                    prune.audited, prune.audit_agreed
+                ));
+            }
+        }
+        out
     }
 }
 
@@ -456,19 +353,7 @@ impl Deserialize for ExperimentRequest {
 
 impl Serialize for ExperimentResponse {
     fn serialize(&self) -> Value {
-        let rows = match self {
-            ExperimentResponse::Fig3(rows) => rows.serialize(),
-            ExperimentResponse::CopyCost(rows) => rows.serialize(),
-            ExperimentResponse::Fig4(rows) => rows.serialize(),
-            ExperimentResponse::Fig6(rows) => rows.serialize(),
-            ExperimentResponse::Resources(rows) => rows.serialize(),
-            ExperimentResponse::Fig8(points) => points.serialize(),
-            ExperimentResponse::Fig9(points) => points.serialize(),
-            ExperimentResponse::Simulate(report) => report.serialize(),
-            ExperimentResponse::Sweep(report) => report.serialize(),
-            ExperimentResponse::Verify(report) => report.serialize(),
-        };
-        tagged(self.name(), vec![("rows".to_string(), rows)])
+        tagged(self.name(), vec![("rows".to_string(), self.body())])
     }
 }
 
@@ -644,20 +529,20 @@ mod tests {
     fn render_dispatch_produces_the_driver_tables() {
         let session = Session::quick(6, 7);
         let response = ExperimentRequest::Fig3.run(&session).unwrap();
-        let table = response.render_table();
-        assert!(table.contains("FUs"));
+        let section = response.render();
+        assert!(section.starts_with("## Fig. 3 — Number of queues"), "{section}");
         let rows = match &response {
             ExperimentResponse::Fig3(rows) => rows,
             _ => unreachable!(),
         };
-        assert_eq!(table, super::super::fig3::render(rows).render());
+        assert!(section.contains(&super::super::fig3::render(rows).render()));
     }
 
     #[test]
     fn typed_experiments_report_their_names() {
-        assert_eq!(Fig3.name(), "fig3");
-        assert_eq!(Resources { cluster_counts: vec![4] }.name(), "resources");
-        assert_eq!(Sweep::default().name(), "sweep");
-        assert_eq!(Verify.name(), "verify");
+        assert_eq!(ExperimentRequest::Fig3.name(), "fig3");
+        assert_eq!(ExperimentRequest::Resources { cluster_counts: vec![4] }.name(), "resources");
+        assert_eq!(ExperimentResponse::Fig9(Vec::new()).name(), "fig9");
+        assert_eq!(ExperimentResponse::Fig4(Vec::new()).name(), "fig4");
     }
 }

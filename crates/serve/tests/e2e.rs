@@ -13,11 +13,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 
 use vliw_bench::{
-    assemble_report, requests_for, run_experiments_in, validate_server, RunConfig, Selection,
-    ServeClient,
+    assemble_report, run_experiments_in, validate_server, RunConfig, Selection, ServeClient,
 };
-use vliw_core::experiments::{fig3_experiment, Classify};
-use vliw_core::{Session, SweepGrid};
+use vliw_core::experiments::fig3_experiment;
+use vliw_core::Session;
 use vliw_serve::{Listen, ServeConfig, Server};
 
 /// A fresh scratch directory under the system temp dir, unique per test.
@@ -74,9 +73,7 @@ fn tcp_daemon_reports_are_byte_identical_to_in_process_runs() {
     assert!(!info.persistent);
 
     let run = RunConfig { corpus_size, seed, threads: Some(2), ..RunConfig::default() };
-    let responses = client
-        .run(requests_for(Selection::All, SweepGrid::default(), Classify::default(), false, 0))
-        .unwrap();
+    let responses = client.run(Selection::All.requests()).unwrap();
     let remote = assemble_report(corpus_size, seed, responses).expect("responses assemble");
     let local = run_experiments_in(&Session::new(run.experiment_config()), Selection::All)
         .expect("in-process run succeeds");
@@ -90,9 +87,7 @@ fn tcp_daemon_reports_are_byte_identical_to_in_process_runs() {
 
     // The daemon also answers static-verification requests, clean on the
     // warm session it just compiled for the figure run.
-    let verify = client
-        .run(requests_for(Selection::Verify, SweepGrid::default(), Classify::default(), false, 0))
-        .unwrap();
+    let verify = client.run(Selection::Verify.requests()).unwrap();
     assert_eq!(verify.len(), 1);
     match &verify[0] {
         vliw_core::experiments::ExperimentResponse::Verify(report) => {

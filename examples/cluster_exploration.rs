@@ -13,9 +13,10 @@
 //! discussion of Sections 4 and 5.
 
 use vliw_core::analysis::{fraction, mean, pct, TextTable};
-use vliw_core::experiments::{par_map, ExperimentConfig};
+use vliw_core::experiments::ExperimentConfig;
 use vliw_core::qrf::insert_copies;
 use vliw_core::sched::{modulo_schedule, ImsOptions};
+use vliw_core::session::par_map_indexed;
 use vliw_core::unroll::unroll_for_machine;
 use vliw_core::{partition_schedule, LatencyModel, Machine, PartitionOptions};
 
@@ -46,7 +47,8 @@ fn main() {
             cross_fraction: f64,
         }
 
-        let samples: Vec<Sample> = par_map(&corpus, cfg.threads, |lp| {
+        let samples: Vec<Sample> = par_map_indexed(corpus.len(), cfg.threads, |i| {
+            let lp = &corpus[i];
             // Same preparation for all machines: unroll for the clustered machine's
             // width, then insert copies.
             let unrolled = unroll_for_machine(lp, &clustered, 4);

@@ -151,7 +151,7 @@ fn report_json(loops: usize, seed: u64) -> String {
         let response = request.run(&session).expect("experiments run on a quick session");
         out.push_str(&serde_json::to_string_pretty(&response).expect("reports serialize"));
         out.push('\n');
-        out.push_str(&response.render_table());
+        out.push_str(&response.render());
     }
     out
 }
