@@ -8,6 +8,11 @@
 //! cannot be placed in any cluster compatible with its already-placed neighbours, the
 //! blocking neighbours are unscheduled (backtracking) and the search continues; when
 //! the placement budget is exhausted the II is increased.
+//!
+//! The last resort collapses the whole loop into cluster 0, where no value crosses
+//! the ring.  Both placements share one II loop: at each II the partitioned
+//! placement is tried first, then the collapse, and the first success is returned,
+//! so the collapse never waits for partitioned IIs above its own.
 
 use std::cell::RefCell;
 use std::mem;
@@ -89,8 +94,12 @@ pub struct PartitionResult {
     pub rec_mii: u32,
     /// `max(ResMII, RecMII)`.
     pub mii: u32,
-    /// Number of II values tried.
+    /// Number of placement attempts made: partitioned plus single-cluster
+    /// collapse attempts (an II can see one of each).
     pub attempts: u32,
+    /// True if the schedule is the single-cluster collapse fallback: every
+    /// operation sits in cluster 0.
+    pub collapsed: bool,
     /// Inter-cluster communication statistics of the final schedule.
     pub comm: CommStats,
 }
@@ -121,6 +130,12 @@ pub fn partition_schedule(
 /// [`partition_schedule`] backed by a caller-owned [`PartitionScratch`], so
 /// every II attempt after the first reuses the same placement buffers and ring
 /// work-lists.
+///
+/// One II loop runs two placements per II, best first: the partitioned
+/// placement over `[start_ii, max_ii]`, then the single-cluster collapse over
+/// its own range.  The first success wins, so a loop whose partitioned search
+/// keeps failing stops at the first II its collapse fits instead of probing
+/// every partitioned II up to `max_ii` first.
 pub fn partition_schedule_with(
     ddg: &Ddg,
     machine: &Machine,
@@ -139,83 +154,80 @@ pub fn partition_schedule_with(
     let max_ii = opts.max_ii.unwrap_or(start_ii.saturating_mul(3).saturating_add(64));
     let base_budget = (ddg.num_ops() as u32).saturating_mul(opts.budget_ratio).max(32);
 
-    let mut attempts = 0;
-    let mut ii = start_ii;
-    while ii <= max_ii {
-        attempts += 1;
-        // Later attempts get a larger backtracking budget: communication conflicts
-        // can require unscheduling the same operations several times before the
-        // placement converges.
-        let budget = base_budget.saturating_mul(attempts.min(8));
-        if let Some((start, fu)) =
-            try_partition_at(ddg, machine, ii, budget, opts.allow_transit_moves, None, scratch)
-        {
-            let schedule = Schedule::new(ii, start, fu);
-            debug_assert!(schedule.validate(ddg, machine).is_ok());
-            let comm = comm_stats(ddg, machine, &schedule);
-            return Ok(PartitionResult {
-                schedule,
-                res_mii: res,
-                rec_mii: rec,
-                mii: lower,
-                attempts,
-                comm,
-            });
-        }
-        ii += 1;
-    }
-
     // Last-resort fallback: collapse the whole loop into a single cluster.  A
     // one-cluster placement trivially satisfies the ring constraint (no value ever
     // crosses a cluster boundary) and always exists for a large enough II; it is the
     // partitioning equivalent of fully serialising the loop and corresponds to the
-    // worst case the paper's backtracking degenerates to.
+    // worst case the paper's backtracking degenerates to.  Its range is empty when
+    // cluster 0 lacks a unit class the loop needs, and never starts below
+    // `start_ii` (cluster 0's units are a subset of the machine's).
     let single_cluster = ClusterId(0);
+    let collapse_lower = single_cluster_lower(ddg, machine, single_cluster, rec);
+    // The single-cluster bound is what actually constrains the collapsed
+    // schedule, so it (not the machine-wide `lower`) is reported as the MII.
+    let (collapse_start, collapse_max, collapse_bound) = match collapse_lower {
+        Ok(l) => (l.max(opts.min_ii), l.saturating_mul(3).saturating_add(64), lower.max(l)),
+        Err(_) => (u32::MAX, 0, lower),
+    };
+    let collapse_iis = collapse_start..=collapse_max;
+
+    let mut attempts = 0;
+    let found = 'search: {
+        for ii in start_ii..=max_ii.max(collapse_max) {
+            // Later partitioned attempts get a larger backtracking budget:
+            // communication conflicts can require unscheduling the same
+            // operations several times before the placement converges.  The
+            // partitioned attempt at `ii` is the `ii - start_ii + 1`-th one.
+            let partitioned = (ii <= max_ii).then_some((None, (ii - start_ii + 1).min(8), lower));
+            let collapse =
+                collapse_iis.contains(&ii).then_some((Some(single_cluster), 8, collapse_bound));
+            for (restrict_to, ramp, mii) in partitioned.into_iter().chain(collapse) {
+                attempts += 1;
+                let budget = base_budget.saturating_mul(ramp);
+                let transit = opts.allow_transit_moves;
+                if let Some((start, fu)) =
+                    try_partition_at(ddg, machine, ii, budget, transit, restrict_to, scratch)
+                {
+                    break 'search Some((ii, start, fu, mii, restrict_to.is_some()));
+                }
+            }
+        }
+        None
+    };
+    let Some((ii, start, fu, mii, collapsed)) = found else {
+        // A missing unit class is reported only once the partitioned search failed.
+        collapse_lower?;
+        return Err(SchedError::IiLimitReached { limit: collapse_max });
+    };
+    let schedule = Schedule::new(ii, start, fu);
+    debug_assert!(schedule.validate(ddg, machine).is_ok());
+    let comm = comm_stats(ddg, machine, &schedule);
+    Ok(PartitionResult { schedule, res_mii: res, rec_mii: rec, mii, attempts, collapsed, comm })
+}
+
+/// Single-cluster lower bound on the II of a collapse into `cluster`: the
+/// recurrence bound and the per-class resource bound of that cluster's units,
+/// or `NoFunctionalUnit` when the cluster lacks a class the loop needs.
+fn single_cluster_lower(
+    ddg: &Ddg,
+    machine: &Machine,
+    cluster: ClusterId,
+    rec: u32,
+) -> Result<u32, SchedError> {
     let counts = ddg.class_counts();
-    let mut collapse_lower = rec.max(1);
+    let mut bound = rec.max(1);
     for class in vliw_ddg::OpClass::ALL {
         let ops = counts[class.index()];
         if ops == 0 {
             continue;
         }
-        let units = machine.fus_of_class_in_cluster(single_cluster, class).count();
+        let units = machine.fus_of_class_in_cluster(cluster, class).count();
         if units == 0 {
             return Err(SchedError::NoFunctionalUnit { class });
         }
-        collapse_lower = collapse_lower.max(ops.div_ceil(units) as u32);
+        bound = bound.max(ops.div_ceil(units) as u32);
     }
-    // The single-cluster bound is what actually constrains the collapsed
-    // schedule, so it (not the machine-wide `lower`) is reported as the MII.
-    let collapse_bound = lower.max(collapse_lower);
-    let collapse_max = collapse_lower.saturating_mul(3).saturating_add(64);
-    let mut ii = collapse_lower.max(opts.min_ii);
-    while ii <= collapse_max {
-        attempts += 1;
-        let budget = base_budget.saturating_mul(8);
-        if let Some((start, fu)) = try_partition_at(
-            ddg,
-            machine,
-            ii,
-            budget,
-            opts.allow_transit_moves,
-            Some(single_cluster),
-            scratch,
-        ) {
-            let schedule = Schedule::new(ii, start, fu);
-            debug_assert!(schedule.validate(ddg, machine).is_ok());
-            let comm = comm_stats(ddg, machine, &schedule);
-            return Ok(PartitionResult {
-                schedule,
-                res_mii: res,
-                rec_mii: rec,
-                mii: collapse_bound,
-                attempts,
-                comm,
-            });
-        }
-        ii += 1;
-    }
-    Err(SchedError::IiLimitReached { limit: collapse_max })
+    Ok(bound)
 }
 
 /// The paper's cluster-eligibility heuristics, as a policy for the shared
@@ -301,11 +313,13 @@ impl ClusterPolicy for RingPolicy {
                 producers.iter().filter(|&&p| !machine.clusters_communicate(p, c)).count()
                     + consumers.iter().filter(|&&s| !machine.clusters_communicate(c, s)).count()
             };
-            let target = all
-                .iter()
-                .copied()
-                .min_by_key(|&c| (conflicts(c), all.iter().position(|&r| r == c).unwrap()))
-                .expect("machines have at least one cluster");
+            // Ties go to the better-ranked cluster; a machine without
+            // clusters leaves `ranked` empty, which fails the attempt.
+            let Some((_, target)) =
+                all.iter().copied().enumerate().min_by_key(|&(rank, c)| (conflicts(c), rank))
+            else {
+                return Eligibility::Ranked;
+            };
             for e in ddg.pred_edges(op) {
                 if e.kind == DepKind::Flow && e.src != op {
                     if let Some(c) = engine.cluster_of(e.src) {
@@ -533,6 +547,7 @@ mod tests {
             let rewritten = insert_copies(&l.ddg, &LatencyModel::default());
             let r = partition_schedule(&rewritten.ddg, &m, collapse_only()).unwrap();
             assert!(r.schedule.validate(&rewritten.ddg, &m).is_ok(), "{}", l.name);
+            assert!(r.collapsed, "{}: collapse-only result not marked collapsed", l.name);
             for op in rewritten.ddg.op_ids() {
                 assert_eq!(
                     r.schedule.cluster_of(&m, op),
