@@ -20,8 +20,8 @@ use std::mem;
 use vliw_ddg::{Ddg, DepKind, OpId};
 use vliw_machine::{ClusterId, FuId, Machine};
 use vliw_sched::{
-    rec_mii, res_mii, run_placement_with, ClusterPolicy, Eligibility, PlacementEngine, SchedError,
-    SchedScratch, Schedule,
+    rec_mii, res_mii, ClusterPolicy, Eligibility, PlacementEngine, SchedError, SchedScratch,
+    Schedule,
 };
 
 use crate::comm::{comm_stats, CommStats};
@@ -97,6 +97,8 @@ pub struct PartitionResult {
     /// Number of placement attempts made: partitioned plus single-cluster
     /// collapse attempts (an II can see one of each).
     pub attempts: u32,
+    /// Placements made by the placement engine, summed over all attempts.
+    pub placements: u64,
     /// True if the schedule is the single-cluster collapse fallback: every
     /// operation sits in cluster 0.
     pub collapsed: bool,
@@ -171,9 +173,10 @@ pub fn partition_schedule_with(
     };
     let collapse_iis = collapse_start..=collapse_max;
 
-    let mut attempts = 0;
+    let last_ii = max_ii.max(collapse_max);
+    let (mut attempts, mut placements) = (0, 0);
     let found = 'search: {
-        for ii in start_ii..=max_ii.max(collapse_max) {
+        for ii in start_ii..=last_ii {
             // Later partitioned attempts get a larger backtracking budget:
             // communication conflicts can require unscheduling the same
             // operations several times before the placement converges.  The
@@ -185,9 +188,10 @@ pub fn partition_schedule_with(
                 attempts += 1;
                 let budget = base_budget.saturating_mul(ramp);
                 let transit = opts.allow_transit_moves;
-                if let Some((start, fu)) =
-                    try_partition_at(ddg, machine, ii, budget, transit, restrict_to, scratch)
-                {
+                let (placed, steps) =
+                    try_partition_at(ddg, machine, ii, budget, transit, restrict_to, scratch);
+                placements += u64::from(steps);
+                if let Some((start, fu)) = placed {
                     break 'search Some((ii, start, fu, mii, restrict_to.is_some()));
                 }
             }
@@ -197,12 +201,21 @@ pub fn partition_schedule_with(
     let Some((ii, start, fu, mii, collapsed)) = found else {
         // A missing unit class is reported only once the partitioned search failed.
         collapse_lower?;
-        return Err(SchedError::IiLimitReached { limit: collapse_max });
+        return Err(SchedError::IiLimitReached { limit: last_ii });
     };
     let schedule = Schedule::new(ii, start, fu);
     debug_assert!(schedule.validate(ddg, machine).is_ok());
     let comm = comm_stats(ddg, machine, &schedule);
-    Ok(PartitionResult { schedule, res_mii: res, rec_mii: rec, mii, attempts, collapsed, comm })
+    Ok(PartitionResult {
+        schedule,
+        res_mii: res,
+        rec_mii: rec,
+        mii,
+        attempts,
+        placements,
+        collapsed,
+        comm,
+    })
 }
 
 /// Single-cluster lower bound on the II of a collapse into `cluster`: the
@@ -249,7 +262,8 @@ struct RingPolicy {
     restrict_to: Option<ClusterId>,
     /// Reused work-lists, borrowed per `eligible` call.  `eligible` takes
     /// `&self` and is never re-entered (the engine calls it once per placement
-    /// round), so the `RefCell` borrow cannot conflict.
+    /// round), so the `RefCell` borrow cannot conflict.  Every call clears the
+    /// lists before use, which keeps the policy pure as the engine requires.
     lists: RefCell<RingLists>,
 }
 
@@ -348,7 +362,10 @@ impl ClusterPolicy for RingPolicy {
     }
 }
 
-/// One partitioning attempt at a fixed II.
+/// Per-operation start cycles and units of a successful attempt.
+type Placement = (Vec<u32>, Vec<FuId>);
+
+/// One partitioning attempt at a fixed II, and the placements it made.
 ///
 /// When `restrict_to` is `Some(c)`, every operation is placed in cluster `c` (the
 /// single-cluster collapse fallback).  If `c` lacks a unit of some required class
@@ -362,7 +379,7 @@ fn try_partition_at(
     allow_transit: bool,
     restrict_to: Option<ClusterId>,
     scratch: &mut PartitionScratch,
-) -> Option<(Vec<u32>, Vec<FuId>)> {
+) -> (Option<Placement>, u32) {
     // The policy borrows the ring work-lists for the attempt and hands them
     // back afterwards (the engine's own buffers travel through `scratch.sched`).
     let policy = RingPolicy {
@@ -370,9 +387,12 @@ fn try_partition_at(
         restrict_to,
         lists: RefCell::new(mem::take(&mut scratch.ring)),
     };
-    let result = run_placement_with(ddg, machine, ii, budget, &policy, &mut scratch.sched);
+    let mut engine = PlacementEngine::new_in(ddg, machine, ii, &mut scratch.sched);
+    let result = engine.run(budget, &policy);
+    let steps = engine.steps();
+    engine.recycle(&mut scratch.sched);
     scratch.ring = policy.lists.into_inner();
-    result
+    (result, steps)
 }
 
 #[cfg(test)]
@@ -637,6 +657,34 @@ mod tests {
             partition_schedule(&g, &m, collapse_only()),
             Err(SchedError::NoFunctionalUnit { .. })
         ));
+    }
+
+    #[test]
+    fn ii_limit_reports_the_highest_ii_tried() {
+        // The tail of this chain issues beyond u32::MAX cycles, so every
+        // attempt fails and the search runs to its last II: the larger of
+        // `max_ii` and the collapse range's end, 3 * 2 + 64 here (the two
+        // multiplies share cluster 0's one multiplier).
+        let lat = LatencyModel { load: u32::MAX / 2, mul: u32::MAX / 2, ..Default::default() };
+        let mut b = DdgBuilder::new(lat);
+        let ld = b.op(OpKind::Load);
+        let m1 = b.op(OpKind::Mul);
+        let m2 = b.op(OpKind::Mul);
+        let tail = b.op(OpKind::Add);
+        b.flow(ld, m1);
+        b.flow(m1, m2);
+        b.flow(m2, tail);
+        let g = b.finish();
+        let m = clustered(4);
+        let wide = PartitionOptions { max_ii: Some(300), ..PartitionOptions::default() };
+        assert_eq!(
+            partition_schedule(&g, &m, wide),
+            Err(SchedError::IiLimitReached { limit: 300 })
+        );
+        assert_eq!(
+            partition_schedule(&g, &m, collapse_only()),
+            Err(SchedError::IiLimitReached { limit: 70 })
+        );
     }
 
     #[test]

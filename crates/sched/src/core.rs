@@ -25,6 +25,33 @@
 //! long-latency chains at large IIs, which used to wrap (release) or panic
 //! (debug).  An attempt that would have to place an operation beyond
 //! `u32::MAX` cycles fails instead of corrupting the schedule.
+//!
+//! # Exact cycle exit
+//!
+//! Backtracking can trap an attempt in a loop — typically two operations whose
+//! placements keep unscheduling each other — that only the placement budget
+//! ends.  The engine ends such an attempt as soon as its state repeats, and the
+//! exit is exact: the attempt returns `None` exactly when the budget-only loop
+//! would have.  At the top of each iteration the per-operation [`OpState`]
+//! array *is* the whole state of the attempt:
+//!
+//! * the ready heap holds exactly the unscheduled operations (an operation is
+//!   pushed only when it leaves the schedule and popped only when it is
+//!   placed), and its pop order depends only on that set;
+//! * the MRT and the per-cluster loads are functions of the placed operations'
+//!   start cycles and units;
+//! * the [`ClusterPolicy`] is pure (its contract), and the budget only ends the
+//!   loop.
+//!
+//! Each iteration is therefore a deterministic function of that array.  Once a
+//! state recurs, the states between the two visits repeat forever, none of
+//! them finished the attempt, so only the budget could end it.  Recurrence is
+//! detected with Brent's power-of-two checkpoints: the array is copied after
+//! `n`, `2n`, `4n`, … placements, and a `mismatches` counter of operations
+//! whose state differs from the checkpoint is kept in O(1) at the two sites
+//! that mutate it (placement and unscheduling).  `mismatches == 0` is an exact
+//! state match — a proof, unlike a hash match.  A successful attempt without
+//! evictions makes `n` placements and never takes a checkpoint.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -49,10 +76,8 @@ use crate::priority::height_r_into;
 #[derive(Debug, Default)]
 pub struct SchedScratch {
     heights: Vec<i64>,
-    start: Vec<Option<u32>>,
-    fu_of: Vec<FuId>,
-    prev_start: Vec<u64>,
-    never_scheduled: Vec<bool>,
+    ops: Vec<OpState>,
+    checkpoint: Checkpoint,
     cluster_load: Vec<u32>,
     mrt: Mrt,
     /// Backing vector of the ready heap (kept as a `Vec` between attempts so
@@ -68,6 +93,35 @@ impl SchedScratch {
     pub fn validate_scratch(&mut self) -> &mut vliw_ddg::ValidateScratch {
         &mut self.validate
     }
+}
+
+/// Placement state of one operation: together with the fixed inputs of the
+/// attempt, the array of these is the engine's whole state (see the module
+/// docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct OpState {
+    /// Issue cycle while the operation is placed.
+    start: Option<u32>,
+    /// Unit of the current (or, once unscheduled, the last) placement.
+    fu: FuId,
+    /// Issue cycle of the last placement; `None` before the first one.
+    prev_start: Option<u32>,
+}
+
+impl OpState {
+    const UNPLACED: OpState = OpState { start: None, fu: FuId(0), prev_start: None };
+}
+
+/// The repeat detector of one attempt: a snapshot of the [`OpState`] array
+/// and the number of operations whose current state differs from it.
+#[derive(Debug, Default)]
+struct Checkpoint {
+    /// The snapshot; empty until the first checkpoint is taken.
+    ops: Vec<OpState>,
+    /// Operations whose current state differs from `ops`.
+    mismatches: usize,
+    /// Placement count at which the next snapshot is taken.
+    next: u32,
 }
 
 /// Cluster restriction of one placement round, as decided by a
@@ -93,6 +147,11 @@ pub trait ClusterPolicy {
     /// in order.  The policy may unschedule already-placed operations through
     /// `engine` (the partitioner backtracks out of communication conflicts this
     /// way) — it must then leave `ranked` non-empty, or the attempt fails.
+    ///
+    /// The call must be pure: its answer and its unscheduling may depend only
+    /// on the engine's state and `op`, never on earlier calls (reused work
+    /// buffers are fine if they are cleared first).  The engine's cycle exit
+    /// relies on this to prove that a repeated state can only loop.
     fn eligible(
         &self,
         engine: &mut PlacementEngine<'_>,
@@ -130,10 +189,10 @@ pub struct PlacementEngine<'a> {
     machine: &'a Machine,
     ii: u32,
     heights: Vec<i64>,
-    start: Vec<Option<u32>>,
-    fu_of: Vec<FuId>,
-    prev_start: Vec<u64>,
-    never_scheduled: Vec<bool>,
+    ops: Vec<OpState>,
+    checkpoint: Checkpoint,
+    /// Placements made so far.
+    steps: u32,
     cluster_load: Vec<u32>,
     mrt: Mrt,
     ready: BinaryHeap<(i64, Reverse<u32>)>,
@@ -157,18 +216,13 @@ impl<'a> PlacementEngine<'a> {
         let mut ready = mem::take(&mut scratch.ready);
         ready.clear();
         ready.extend(heights.iter().enumerate().map(|(i, &h)| (h, Reverse(i as u32))));
-        let mut start = mem::take(&mut scratch.start);
-        start.clear();
-        start.resize(n, None);
-        let mut fu_of = mem::take(&mut scratch.fu_of);
-        fu_of.clear();
-        fu_of.resize(n, FuId(0));
-        let mut prev_start = mem::take(&mut scratch.prev_start);
-        prev_start.clear();
-        prev_start.resize(n, 0);
-        let mut never_scheduled = mem::take(&mut scratch.never_scheduled);
-        never_scheduled.clear();
-        never_scheduled.resize(n, true);
+        let mut ops = mem::take(&mut scratch.ops);
+        ops.clear();
+        ops.resize(n, OpState::UNPLACED);
+        let mut checkpoint = mem::take(&mut scratch.checkpoint);
+        checkpoint.ops.clear();
+        checkpoint.mismatches = 0;
+        checkpoint.next = n as u32;
         let mut cluster_load = mem::take(&mut scratch.cluster_load);
         cluster_load.clear();
         cluster_load.resize(machine.num_clusters(), 0);
@@ -181,10 +235,9 @@ impl<'a> PlacementEngine<'a> {
             machine,
             ii,
             heights,
-            start,
-            fu_of,
-            prev_start,
-            never_scheduled,
+            ops,
+            checkpoint,
+            steps: 0,
             cluster_load,
             mrt,
             ready: BinaryHeap::from(ready),
@@ -195,10 +248,8 @@ impl<'a> PlacementEngine<'a> {
     /// Returns the engine's buffers to `scratch` for the next attempt.
     pub fn recycle(self, scratch: &mut SchedScratch) {
         scratch.heights = self.heights;
-        scratch.start = self.start;
-        scratch.fu_of = self.fu_of;
-        scratch.prev_start = self.prev_start;
-        scratch.never_scheduled = self.never_scheduled;
+        scratch.ops = self.ops;
+        scratch.checkpoint = self.checkpoint;
         scratch.cluster_load = self.cluster_load;
         scratch.mrt = self.mrt;
         scratch.ready = self.ready.into_vec();
@@ -223,10 +274,17 @@ impl<'a> PlacementEngine<'a> {
         self.ii
     }
 
+    /// Placements made by the attempt so far.
+    #[inline]
+    pub fn steps(&self) -> u32 {
+        self.steps
+    }
+
     /// The cluster currently hosting `op`, or `None` if it is unscheduled.
     #[inline]
     pub fn cluster_of(&self, op: OpId) -> Option<ClusterId> {
-        self.start[op.index()].map(|_| self.machine.fu(self.fu_of[op.index()]).cluster)
+        let s = &self.ops[op.index()];
+        s.start.map(|_| self.machine.fu(s.fu).cluster)
     }
 
     /// Number of operations currently placed in cluster `c`.
@@ -239,8 +297,9 @@ impl<'a> PlacementEngine<'a> {
     /// it to the ready queue.  Policies use this to backtrack out of
     /// communication conflicts.
     pub fn unschedule(&mut self, op: OpId) {
-        if let Some(s) = self.start[op.index()] {
-            self.mrt.release(s, self.fu_of[op.index()]);
+        let s = self.ops[op.index()];
+        if let Some(start) = s.start {
+            self.mrt.release(start, s.fu);
             self.mark_unscheduled(op);
         }
     }
@@ -249,17 +308,46 @@ impl<'a> PlacementEngine<'a> {
     /// released the MRT slot.
     fn mark_unscheduled(&mut self, op: OpId) {
         let i = op.index();
-        let c = self.machine.fu(self.fu_of[i]).cluster;
+        let s = self.ops[i];
+        let c = self.machine.fu(s.fu).cluster;
         self.cluster_load[c.index()] = self.cluster_load[c.index()].saturating_sub(1);
-        self.start[i] = None;
+        self.set_op(i, OpState { start: None, ..s });
         self.ready.push((self.heights[i], Reverse(op.0)));
+    }
+
+    /// Writes the state of operation `i`, keeping the checkpoint's
+    /// `mismatches` count in step.
+    #[inline]
+    fn set_op(&mut self, i: usize, new: OpState) {
+        if let Some(&snap) = self.checkpoint.ops.get(i) {
+            let was = usize::from(self.ops[i] != snap);
+            let is = usize::from(new != snap);
+            self.checkpoint.mismatches = self.checkpoint.mismatches + is - was;
+        }
+        self.ops[i] = new;
+    }
+
+    /// True if the state equals the last checkpoint, so the attempt can only
+    /// loop until its budget runs out.  Otherwise takes the next checkpoint
+    /// when the placement count reaches it (Brent's power-of-two schedule).
+    fn state_repeats(&mut self) -> bool {
+        let cp = &mut self.checkpoint;
+        if !cp.ops.is_empty() && cp.mismatches == 0 {
+            return true;
+        }
+        if self.steps == cp.next {
+            cp.ops.clone_from(&self.ops);
+            cp.mismatches = 0;
+            cp.next = cp.next.saturating_mul(2);
+        }
+        false
     }
 
     /// Pops the highest-priority unscheduled operation (height, then lowest
     /// id), or `None` when every operation is placed.
     fn pop_ready(&mut self) -> Option<OpId> {
         while let Some((_, Reverse(id))) = self.ready.pop() {
-            if self.start[id as usize].is_none() {
+            if self.ops[id as usize].start.is_none() {
                 return Some(OpId(id));
             }
         }
@@ -273,7 +361,7 @@ impl<'a> PlacementEngine<'a> {
             if e.src == op {
                 continue; // self recurrences are guaranteed by II >= RecMII
             }
-            if let Some(s) = self.start[e.src.index()] {
+            if let Some(s) = self.ops[e.src.index()].start {
                 estart = estart.max(s as i64 + e.weight_at(self.ii));
             }
         }
@@ -289,8 +377,9 @@ impl<'a> PlacementEngine<'a> {
         })
     }
 
-    /// Runs the placement loop until every operation is scheduled or the budget
-    /// is exhausted.  Returns the per-op start times and unit assignments.
+    /// Runs the placement loop until every operation is scheduled, the budget
+    /// is exhausted or the state repeats (which could only end in exhaustion).
+    /// Returns the per-op start times and unit assignments.
     ///
     /// The engine survives the run (`&mut self`) so its buffers can be
     /// [recycled](PlacementEngine::recycle) into a [`SchedScratch`].
@@ -319,7 +408,7 @@ impl<'a> PlacementEngine<'a> {
 
         while let Some(op) = self.pop_ready() {
             budget -= 1;
-            if budget < 0 {
+            if budget < 0 || self.state_repeats() {
                 return None;
             }
 
@@ -364,11 +453,9 @@ impl<'a> PlacementEngine<'a> {
                     // Forced placement (Rau): at estart if this is the first
                     // time or the window moved forward, otherwise one cycle
                     // after the previous placement so progress is made.
-                    let i = op.index();
-                    let time = if self.never_scheduled[i] || estart > self.prev_start[i] {
-                        estart
-                    } else {
-                        self.prev_start[i] + 1
+                    let time = match self.ops[op.index()].prev_start {
+                        Some(prev) if estart <= prev as u64 => prev as u64 + 1,
+                        _ => estart,
                     };
                     if time > u32::MAX as u64 {
                         return None; // the schedule no longer fits the cycle domain
@@ -399,11 +486,8 @@ impl<'a> PlacementEngine<'a> {
                 self.mark_unscheduled(victim);
             }
             self.mrt.reserve(cycle, fu, op);
-            let i = op.index();
-            self.start[i] = Some(cycle);
-            self.fu_of[i] = fu;
-            self.prev_start[i] = time;
-            self.never_scheduled[i] = false;
+            self.set_op(op.index(), OpState { start: Some(cycle), fu, prev_start: Some(cycle) });
+            self.steps += 1;
             let placed_cluster = self.machine.fu(fu).cluster;
             self.cluster_load[placed_cluster.index()] += 1;
 
@@ -415,13 +499,14 @@ impl<'a> PlacementEngine<'a> {
                 if e.dst == op {
                     continue;
                 }
-                if let Some(s_dst) = self.start[e.dst.index()] {
+                let dst = self.ops[e.dst.index()];
+                if let Some(s_dst) = dst.start {
                     let dep_violated = (s_dst as i64) < time as i64 + e.weight_at(ii);
                     let comm_violated = e.kind == DepKind::Flow
                         && policy.comm_violated(
                             self.machine,
                             placed_cluster,
-                            self.machine.fu(self.fu_of[e.dst.index()]).cluster,
+                            self.machine.fu(dst.fu).cluster,
                         );
                     if dep_violated || comm_violated {
                         self.unschedule(e.dst);
@@ -432,12 +517,13 @@ impl<'a> PlacementEngine<'a> {
                 if e.src == op {
                     continue;
                 }
-                if let Some(s_src) = self.start[e.src.index()] {
+                let src = self.ops[e.src.index()];
+                if let Some(s_src) = src.start {
                     let dep_violated = (time as i64) < s_src as i64 + e.weight_at(ii);
                     let comm_violated = e.kind == DepKind::Flow
                         && policy.comm_violated(
                             self.machine,
-                            self.machine.fu(self.fu_of[e.src.index()]).cluster,
+                            self.machine.fu(src.fu).cluster,
                             placed_cluster,
                         );
                     if dep_violated || comm_violated {
@@ -450,8 +536,9 @@ impl<'a> PlacementEngine<'a> {
         // The result vectors escape into the schedule, so they are the one
         // fresh allocation of a successful attempt; the working buffers stay
         // with the engine for recycling.
-        let start: Vec<u32> = self.start.iter().map(|s| s.expect("all ops scheduled")).collect();
-        Some((start, self.fu_of.clone()))
+        let start: Vec<u32> =
+            self.ops.iter().map(|s| s.start.expect("all ops scheduled")).collect();
+        Some((start, self.ops.iter().map(|s| s.fu).collect()))
     }
 }
 
@@ -629,18 +716,142 @@ mod tests {
         for lp in kernels::all_kernels(LatencyModel::default()) {
             cases.push(lp.ddg);
         }
+        // Failing IIs are replayed with a large budget: the cycle-free naive
+        // scan then checks that the engine's cycle exit never ends an attempt
+        // the budget would have let succeed.
+        let large_budget = 50_000;
+        let mut replayed = 0;
         for g in &cases {
             for fus in [3, 6] {
                 let m = machine(fus);
                 for ii in 1..=6 {
+                    let engine = run_placement(g, &m, ii, budget, &AnyClusterPolicy);
                     assert_eq!(
-                        run_placement(g, &m, ii, budget, &AnyClusterPolicy),
+                        engine,
                         naive_schedule_at(g, &m, ii, budget),
                         "engine diverges from the naive scan at II {ii} on {fus} FUs"
                     );
+                    if engine.is_none() {
+                        replayed += 1;
+                        assert_eq!(
+                            run_placement(g, &m, ii, large_budget, &AnyClusterPolicy),
+                            naive_schedule_at(g, &m, ii, large_budget),
+                            "engine diverges from the naive scan at II {ii} on {fus} FUs \
+                             with budget {large_budget}"
+                        );
+                    }
                 }
             }
         }
+        assert!(replayed > 0, "no failing II exercised the failure path");
+    }
+
+    /// Puts even operations in cluster 0 and odd ones in cluster 1, and lets
+    /// no value cross between them: a placed flow neighbour in the other
+    /// cluster is unscheduled by every placement.
+    struct SplitPolicy;
+
+    impl ClusterPolicy for SplitPolicy {
+        fn eligible(
+            &self,
+            _engine: &mut PlacementEngine<'_>,
+            op: OpId,
+            ranked: &mut Vec<ClusterId>,
+        ) -> Eligibility {
+            ranked.push(ClusterId(op.0 % 2));
+            Eligibility::Ranked
+        }
+
+        fn comm_violated(&self, _machine: &Machine, from: ClusterId, to: ClusterId) -> bool {
+            from != to
+        }
+    }
+
+    #[test]
+    fn a_repeating_state_ends_the_attempt_early() {
+        // a -> b across the split: placing b unschedules a, re-placing a (at
+        // the same cycle) unschedules b, and so on.  Every second placement
+        // returns the engine to the same state.
+        let mut b = DdgBuilder::new(LatencyModel::default());
+        let a = b.op(OpKind::Add);
+        let c = b.op(OpKind::Add);
+        b.flow(a, c);
+        let g = b.finish();
+        let m = Machine::paper_clustered(2, LatencyModel::default());
+        let budget = 100_000;
+        let mut engine = PlacementEngine::new(&g, &m, 1);
+        assert_eq!(engine.run(budget, &SplitPolicy), None);
+        // The first checkpoint is taken after `n` = 2 placements, and the
+        // period-2 loop is caught within two more checkpoint doublings.
+        assert!(engine.steps() <= 16, "{} placements before the exit", engine.steps());
+        // A budget too small to reach the checkpoint fails the same way.
+        let mut engine = PlacementEngine::new(&g, &m, 1);
+        assert_eq!(engine.run(3, &SplitPolicy), None);
+        assert_eq!(engine.steps(), 3);
+    }
+
+    #[test]
+    fn the_mismatch_counter_matches_a_recount() {
+        // Cut attempts off after every possible number of placements: once a
+        // checkpoint exists, the O(1) counter must equal a full recount of
+        // the operations whose state differs from it.
+        use vliw_ddg::kernels;
+        let mut checked = 0;
+        for lp in kernels::all_kernels(LatencyModel::default()) {
+            for fus in [3, 6] {
+                let m = machine(fus);
+                for ii in 1..=3 {
+                    for budget in 1..=4 * lp.ddg.num_ops() as u32 {
+                        let mut engine = PlacementEngine::new(&lp.ddg, &m, ii);
+                        let _ = engine.run(budget, &AnyClusterPolicy);
+                        let cp = &engine.checkpoint;
+                        if cp.ops.is_empty() {
+                            continue;
+                        }
+                        let recount =
+                            engine.ops.iter().zip(&cp.ops).filter(|(a, b)| a != b).count();
+                        assert_eq!(
+                            cp.mismatches, recount,
+                            "{} at II {ii}, budget {budget}",
+                            lp.name
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 0, "no attempt reached a checkpoint");
+    }
+
+    #[test]
+    fn a_differing_last_start_is_not_a_repeat() {
+        // An unscheduled operation's last start decides where its next forced
+        // placement lands, so a state that differs only there is no repeat.
+        let mut b = DdgBuilder::new(LatencyModel::default());
+        b.ops(OpKind::Add, 2);
+        let g = b.finish();
+        let m = machine(3);
+        let mut engine = PlacementEngine::new(&g, &m, 1);
+        engine.steps = engine.checkpoint.next;
+        assert!(!engine.state_repeats(), "taking a checkpoint is not a repeat");
+        assert!(engine.state_repeats());
+        let s = engine.ops[0];
+        engine.set_op(0, OpState { prev_start: Some(3), ..s });
+        assert!(!engine.state_repeats());
+        engine.set_op(0, s);
+        assert!(engine.state_repeats());
+    }
+
+    #[test]
+    fn a_clean_attempt_counts_one_step_per_operation() {
+        let mut b = DdgBuilder::new(LatencyModel::default());
+        let ops = b.ops(OpKind::Add, 4);
+        b.flow(ops[0], ops[1]);
+        let g = b.finish();
+        let m = machine(6);
+        let mut engine = PlacementEngine::new(&g, &m, 2);
+        assert!(engine.run(64, &AnyClusterPolicy).is_some());
+        assert_eq!(engine.steps(), 4);
     }
 
     #[test]
