@@ -108,15 +108,18 @@ pub fn command() -> Command {
         .subcommand(
             Command::new("stream")
                 .about(
-                    "Streamed corpus compile - bounded shards, flat memory; \
-                     reports aggregate metrics and peak RSS",
+                    "Streamed corpus compile - one worker pool taking bounded \
+                     shards, flat memory; reports aggregate metrics and peak RSS",
                 )
                 .arg(
                     Arg::new("shard-size")
                         .long("shard-size")
                         .value_name("N")
                         .default_value(vliw_core::session::DEFAULT_SHARD_SIZE.to_string())
-                        .help("Loops generated and compiled per shard"),
+                        .help(
+                            "Loops a worker takes from the generator at a time; \
+                             peak memory grows with threads x shard size",
+                        ),
                 ),
         )
         .subcommand(Command::new("verify").about(

@@ -361,8 +361,9 @@ pub fn run_experiments_in(
 
 /// Runs the streamed-compile experiment (the `figures stream` subcommand):
 /// the configured corpus flows through the paper's 6-FU single-cluster
-/// compile pipeline in bounded shards, never materialised whole, and only the
-/// aggregate [`StreamReport`] survives.  Strictly in-process — no session, no
+/// compile pipeline on one worker pool, each worker taking a bounded shard of
+/// loops at a time, never materialised whole, and only the aggregate
+/// [`StreamReport`] survives.  Strictly in-process — no session, no
 /// memo store, no daemon — because the report's `peak_rss_kb` is the
 /// flat-memory evidence the 100k-loop CI smoke asserts on.
 pub fn run_stream(run: &RunConfig) -> Result<StreamReport, VliwError> {

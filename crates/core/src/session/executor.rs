@@ -128,7 +128,7 @@ where
 /// Renders a caught panic payload for the re-raised diagnostic: the `&str` /
 /// `String` payloads `panic!` produces are passed through verbatim, anything
 /// else (a `panic_any` value) is labelled by what it is not.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

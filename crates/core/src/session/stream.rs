@@ -1,4 +1,4 @@
-//! Streamed corpus compilation: bounded shards, flat memory.
+//! Streamed corpus compilation: one worker pool, flat memory.
 //!
 //! [`Session`](super::Session) materialises its whole corpus up front — the
 //! right trade for the paper's 1258-loop evaluation, where every driver
@@ -6,38 +6,48 @@
 //! At 100k+ loops that model stops scaling: the corpus alone is hundreds of
 //! megabytes and the per-loop artifacts would dwarf it.
 //!
-//! [`compile_stream`] instead pulls loops from a [`CorpusStream`] one bounded
-//! shard at a time, compiles each shard on the work-stealing executor, folds
-//! the per-loop metrics into running aggregates, and drops the shard before
-//! generating the next one.  Peak memory is `O(shard_size)`, independent of the
-//! corpus size; the per-worker scratch arenas of the compile pipeline
-//! (`vliw_core::ScratchArena`) amortise across every loop a worker claims.
-//! The loop stream is the same generator the eager path uses, so loop `i` of a
-//! streamed run is byte-identical to loop `i` of `Session::new` with the same
-//! corpus configuration.
+//! [`compile_stream`] instead runs one pool of `threads` workers for the whole
+//! run.  The workers share a single [`CorpusStream`] behind a mutex: a worker
+//! that runs dry locks it, takes the next `shard_size` loops, unlocks and
+//! compiles them, folding each loop's metrics into its own integer
+//! accumulator.  Generation is therefore serial but overlaps the other
+//! workers' compiles, and no worker waits at a per-shard barrier for the
+//! slowest loop of a shard.  The accumulators are sums and maxima, merged once
+//! at the end, so the report is exact whatever order the loops finish in.
+//!
+//! Peak memory is `O(threads × shard_size)`, independent of the corpus size;
+//! the per-worker scratch arenas of the compile pipeline
+//! (`vliw_core::ScratchArena`) live for the whole run.  The loop stream is the
+//! same generator the eager path uses, so loop `i` of a streamed run is
+//! byte-identical to loop `i` of `Session::new` with the same corpus
+//! configuration.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
+use vliw_ddg::Loop;
 use vliw_loopgen::{CorpusConfig, CorpusStream};
 
-use super::executor::par_map_indexed;
+use super::executor::{panic_message, try_par_map_indexed};
 use crate::error::VliwError;
 use crate::experiments::default_threads;
 use crate::pipeline::{Compiler, CompilerConfig};
 
-/// Default shard size of a streamed run: large enough to keep every worker
-/// busy between refills, small enough that a shard of generated loops plus its
-/// in-flight compilations stays a few megabytes.
-pub const DEFAULT_SHARD_SIZE: usize = 1024;
+/// Default number of loops a worker takes from the generator at a time: enough
+/// to amortise the lock, few enough that every worker's shard of generated
+/// loops stays well under a megabyte.
+pub const DEFAULT_SHARD_SIZE: usize = 64;
 
 /// Parameters of a streamed compilation run.
 #[derive(Debug, Clone)]
 pub struct StreamConfig {
     /// Corpus to stream (its `num_loops` is the total streamed, never resident).
     pub corpus: CorpusConfig,
-    /// Loops generated and compiled per shard (clamped to ≥ 1).
+    /// Loops a worker takes from the generator at a time (clamped to ≥ 1).
     pub shard_size: usize,
-    /// Worker threads per shard (1 = sequential).
+    /// Workers in the run's pool (1 = sequential, on the caller's thread).
     pub threads: usize,
 }
 
@@ -53,16 +63,16 @@ impl StreamConfig {
 }
 
 /// Aggregate metrics of one streamed run — everything the run keeps; the
-/// per-loop artifacts are dropped shard by shard.
+/// per-loop artifacts are dropped as soon as their metrics are folded in.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct StreamReport {
     /// Total loops streamed.
     pub corpus_size: usize,
     /// Corpus generator seed.
     pub seed: u64,
-    /// Shard size of the run.
+    /// Loops a worker took from the generator at a time.
     pub shard_size: usize,
-    /// Number of shards processed.
+    /// Number of takes from the generator: `corpus_size.div_ceil(shard_size)`.
     pub shards: usize,
     /// Loops that compiled successfully.
     pub compiled: usize,
@@ -80,13 +90,12 @@ pub struct StreamReport {
     pub max_queue_depth: usize,
     /// Peak resident set size of the process in kB (`VmHWM` from
     /// `/proc/self/status`), if the platform exposes it.  Read *after* the
-    /// last shard, so it bounds the whole run — the flat-memory evidence the
-    /// 100k-loop smoke asserts on.
+    /// pool has finished, so it bounds the whole run — the flat-memory
+    /// evidence the 100k-loop smoke asserts on.
     pub peak_rss_kb: Option<u64>,
 }
 
-/// The per-loop metrics a shard worker returns; deliberately tiny so a shard's
-/// results stay O(shard_size) no matter how large the schedules were.
+/// What one compiled loop contributes to the report.
 struct LoopMetrics {
     ii: u32,
     mii: u32,
@@ -94,75 +103,189 @@ struct LoopMetrics {
     max_queue_depth: usize,
 }
 
-/// Streams the configured corpus through `compiler_config` in bounded shards
-/// and returns the aggregate report.
+/// One worker's running aggregates; every field is an integer sum or max, so
+/// merging the workers' totals is exact in any order.
+#[derive(Default)]
+struct Totals {
+    shards: usize,
+    compiled: usize,
+    failed: usize,
+    sum_ii: u64,
+    sum_mii: u64,
+    at_mii: usize,
+    sum_queues: u64,
+    max_queue_depth: usize,
+}
+
+impl Totals {
+    fn add(&mut self, metrics: Option<LoopMetrics>) {
+        let Some(m) = metrics else {
+            self.failed += 1;
+            return;
+        };
+        self.compiled += 1;
+        self.sum_ii += u64::from(m.ii);
+        self.sum_mii += u64::from(m.mii);
+        self.at_mii += usize::from(m.ii == m.mii);
+        self.sum_queues += m.queues as u64;
+        self.max_queue_depth = self.max_queue_depth.max(m.max_queue_depth);
+    }
+
+    fn merge(&mut self, other: Totals) {
+        self.shards += other.shards;
+        self.compiled += other.compiled;
+        self.failed += other.failed;
+        self.sum_ii += other.sum_ii;
+        self.sum_mii += other.sum_mii;
+        self.at_mii += other.at_mii;
+        self.sum_queues += other.sum_queues;
+        self.max_queue_depth = self.max_queue_depth.max(other.max_queue_depth);
+    }
+}
+
+/// A failed worker: the corpus index of the loop it failed on (`usize::MAX`
+/// when no loop is to blame) and the error.
+type Failure = (usize, VliwError);
+
+/// The generator the workers share, with the corpus index of its next loop.
+/// `stopped` is set by the first worker that fails, so that the others stop
+/// taking loops too.
+struct Feed<I> {
+    loops: I,
+    next: usize,
+    stopped: bool,
+}
+
+/// Runs `f` for corpus loop `index`, turning a panic into
+/// [`VliwError::WorkerPanic`] at that index.
+fn catch<R>(index: usize, f: impl FnOnce() -> R) -> Result<R, Failure> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|payload| {
+        (index, VliwError::WorkerPanic { index, message: panic_message(payload.as_ref()) })
+    })
+}
+
+/// Streams the configured corpus through `compiler_config` on one pool of
+/// `cfg.threads` workers and returns the aggregate report.
 ///
-/// Worker panics inside a shard surface as [`VliwError::WorkerPanic`] (the
-/// executor's contract); scheduling failures are counted, not fatal.
+/// A panic while generating or compiling a loop surfaces as
+/// [`VliwError::WorkerPanic`] carrying that loop's corpus index (the lowest
+/// one, when several loops panic); an invalid `cfg.corpus` is a
+/// [`VliwError::InvalidRequest`].  Scheduling failures are counted, not fatal.
 pub fn compile_stream(
     cfg: &StreamConfig,
     compiler_config: CompilerConfig,
 ) -> Result<StreamReport, VliwError> {
+    cfg.corpus
+        .validate()
+        .map_err(|e| VliwError::InvalidRequest(format!("invalid corpus configuration: {e}")))?;
     let compiler = Compiler::new(compiler_config);
+    stream_with(cfg, CorpusStream::new(cfg.corpus.clone()), |_, lp| {
+        compiler.compile(lp).ok().map(|c| LoopMetrics {
+            ii: c.ii(),
+            mii: c.mii,
+            queues: c.queues_required(),
+            max_queue_depth: c.queues.max_queue_depth(),
+        })
+    })
+}
+
+/// The worker pool behind [`compile_stream`]: `compile` maps each loop of
+/// `loops` (with its corpus index) to its metrics, or to `None` when it does
+/// not schedule.
+fn stream_with<I, F>(cfg: &StreamConfig, loops: I, compile: F) -> Result<StreamReport, VliwError>
+where
+    I: Iterator<Item = Loop> + Send,
+    F: Fn(usize, &Loop) -> Option<LoopMetrics> + Sync,
+{
+    let n = cfg.corpus.num_loops;
     let shard_size = cfg.shard_size.max(1);
-    let mut stream = CorpusStream::new(cfg.corpus.clone());
+    let threads = cfg.threads.clamp(1, n.div_ceil(shard_size).max(1));
+    let feed = Mutex::new(Feed { loops, next: 0, stopped: false });
 
-    let mut shard = Vec::with_capacity(shard_size.min(cfg.corpus.num_loops));
-    let mut shards = 0usize;
-    let mut compiled = 0usize;
-    let mut failed = 0usize;
-    let mut sum_ii = 0u64;
-    let mut sum_mii = 0u64;
-    let mut at_mii = 0usize;
-    let mut sum_queues = 0u64;
-    let mut max_queue_depth = 0usize;
-
-    loop {
-        shard.clear();
-        {
-            let _span = vliw_obs::span!("corpusgen", shard_size);
-            shard.extend(stream.by_ref().take(shard_size));
+    // Fills `shard` with the next take and returns the corpus index of its
+    // first loop; an empty shard means the stream is done.
+    let take = |shard: &mut Vec<Loop>| -> Result<usize, Failure> {
+        let Ok(mut feed) = feed.lock() else {
+            return Err((usize::MAX, VliwError::internal("corpus stream lock poisoned")));
+        };
+        let first = feed.next;
+        if feed.stopped {
+            return Ok(first);
         }
-        if shard.is_empty() {
-            break;
-        }
-        shards += 1;
-        let results: Vec<Option<LoopMetrics>> = par_map_indexed(shard.len(), cfg.threads, |i| {
-            compiler.compile(&shard[i]).ok().map(|c| LoopMetrics {
-                ii: c.ii(),
-                mii: c.mii,
-                queues: c.queues_required(),
-                max_queue_depth: c.queues.max_queue_depth(),
-            })
-        });
-        for result in results {
-            match result {
-                Some(m) => {
-                    compiled += 1;
-                    sum_ii += u64::from(m.ii);
-                    sum_mii += u64::from(m.mii);
-                    at_mii += usize::from(m.ii == m.mii);
-                    sum_queues += m.queues as u64;
-                    max_queue_depth = max_queue_depth.max(m.max_queue_depth);
+        let _span = vliw_obs::span!("corpusgen", shard_size);
+        for index in first..(first + shard_size).min(n) {
+            // A generator panic is caught here, under the lock, so it stops
+            // the feed instead of poisoning it.
+            match catch(index, || feed.loops.next()) {
+                Ok(Some(lp)) => shard.push(lp),
+                Ok(None) => break,
+                Err(failure) => {
+                    feed.stopped = true;
+                    return Err(failure);
                 }
-                None => failed += 1,
             }
         }
+        feed.next = first + shard.len();
+        Ok(first)
+    };
+    let stop = || {
+        if let Ok(mut feed) = feed.lock() {
+            feed.stopped = true;
+        }
+    };
+
+    let worker = || -> Result<Totals, Failure> {
+        let mut totals = Totals::default();
+        let mut shard = Vec::with_capacity(shard_size.min(n));
+        loop {
+            shard.clear();
+            let first = take(&mut shard)?;
+            if shard.is_empty() {
+                return Ok(totals);
+            }
+            totals.shards += 1;
+            for (index, lp) in (first..).zip(&shard) {
+                match catch(index, || compile(index, lp)) {
+                    Ok(metrics) => totals.add(metrics),
+                    Err(failure) => {
+                        stop();
+                        return Err(failure);
+                    }
+                }
+            }
+        }
+    };
+
+    // One long-lived worker per executor item.  A loop's panic is caught by
+    // the worker, at its corpus index; the executor only catches what is left.
+    let outcomes = try_par_map_indexed(threads, threads, |_| Ok(worker()))?;
+
+    let mut totals = Totals::default();
+    let mut failures = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(t) => totals.merge(t),
+            Err(failure) => failures.push(failure),
+        }
+    }
+    if let Some((_, e)) = failures.into_iter().min_by_key(|(index, _)| *index) {
+        return Err(e);
     }
 
+    let compiled = totals.compiled;
     let mean = |sum: u64| if compiled > 0 { sum as f64 / compiled as f64 } else { 0.0 };
     Ok(StreamReport {
-        corpus_size: cfg.corpus.num_loops,
+        corpus_size: n,
         seed: cfg.corpus.seed,
         shard_size,
-        shards,
+        shards: totals.shards,
         compiled,
-        failed,
-        mean_ii: mean(sum_ii),
-        mean_mii: mean(sum_mii),
-        mii_achieved_fraction: if compiled > 0 { at_mii as f64 / compiled as f64 } else { 0.0 },
-        mean_queues: mean(sum_queues),
-        max_queue_depth,
+        failed: totals.failed,
+        mean_ii: mean(totals.sum_ii),
+        mean_mii: mean(totals.sum_mii),
+        mii_achieved_fraction: mean(totals.at_mii as u64),
+        mean_queues: mean(totals.sum_queues),
+        max_queue_depth: totals.max_queue_depth,
         peak_rss_kb: peak_rss_kb(),
     })
 }
@@ -208,6 +331,103 @@ mod tests {
         assert_eq!(whole.mii_achieved_fraction, sharded.mii_achieved_fraction);
         assert_eq!(whole.mean_queues, sharded.mean_queues);
         assert_eq!(whole.max_queue_depth, sharded.max_queue_depth);
+    }
+
+    #[test]
+    fn threads_and_shard_size_do_not_change_the_report() {
+        let reference = compile_stream(&config(300, 300), paper_compiler_config()).unwrap();
+        assert_eq!(reference.compiled + reference.failed, 300);
+        for threads in [1, 2, 4] {
+            for shard_size in [1, 7, 64, 1024] {
+                let mut cfg = config(300, shard_size);
+                cfg.threads = threads;
+                let report = compile_stream(&cfg, paper_compiler_config()).unwrap();
+                let at = format!("threads {threads}, shard_size {shard_size}");
+                assert_eq!(report.shard_size, shard_size, "{at}");
+                assert_eq!(report.shards, 300usize.div_ceil(shard_size), "{at}");
+                // Every other field but the RSS snapshot is exact.
+                let normalised = StreamReport {
+                    shard_size: reference.shard_size,
+                    shards: reference.shards,
+                    peak_rss_kb: reference.peak_rss_kb,
+                    ..report
+                };
+                assert_eq!(normalised, reference, "{at}");
+            }
+        }
+    }
+
+    /// Stand-in metrics for pool tests that do not need a real compile.
+    fn unit_metrics() -> Option<LoopMetrics> {
+        Some(LoopMetrics { ii: 1, mii: 1, queues: 0, max_queue_depth: 0 })
+    }
+
+    #[test]
+    fn a_panicking_loop_is_a_worker_panic_at_its_corpus_index() {
+        for threads in [1, 2, 4] {
+            for shard_size in [1, 7, 64] {
+                let cfg = StreamConfig { threads, ..config(300, shard_size) };
+                let loops = CorpusStream::new(cfg.corpus.clone());
+                let err = stream_with(&cfg, loops, |index, _| {
+                    if index == 123 || index == 250 {
+                        panic!("II search diverged on loop {index}");
+                    }
+                    unit_metrics()
+                })
+                .expect_err("the run must fail");
+                let at = format!("threads {threads}, shard_size {shard_size}");
+                assert_eq!(
+                    err,
+                    VliwError::WorkerPanic {
+                        index: 123,
+                        message: "II search diverged on loop 123".into()
+                    },
+                    "{at}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_stops_taking_loops_after_its_first_failure() {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let cfg = StreamConfig { threads: 1, ..config(50, 4) };
+        let loops = CorpusStream::new(cfg.corpus.clone());
+        let err = stream_with(&cfg, loops, |index, _| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            assert_ne!(index, 9, "boom");
+            unit_metrics()
+        });
+        assert!(matches!(err, Err(VliwError::WorkerPanic { index: 9, .. })), "{err:?}");
+        assert_eq!(calls.into_inner(), 10, "loops 0..=9 ran, nothing after");
+    }
+
+    #[test]
+    fn a_panicking_generator_is_a_worker_panic_at_its_corpus_index() {
+        for threads in [1, 2] {
+            let cfg = StreamConfig { threads, ..config(40, 8) };
+            let loops = CorpusStream::new(cfg.corpus.clone()).enumerate().map(|(i, lp)| {
+                assert_ne!(i, 17, "generator broke");
+                lp
+            });
+            let err = stream_with(&cfg, loops, |_, _| unit_metrics()).expect_err("must fail");
+            match err {
+                VliwError::WorkerPanic { index, message } => {
+                    assert_eq!(index, 17, "threads {threads}");
+                    assert!(message.contains("generator broke"), "{message}");
+                }
+                other => panic!("expected WorkerPanic, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn an_invalid_corpus_is_an_invalid_request() {
+        let mut cfg = config(10, 4);
+        cfg.corpus.recurrence_probability = 1.5;
+        let err = compile_stream(&cfg, paper_compiler_config()).expect_err("must be rejected");
+        assert_eq!(err.kind(), "invalid_request", "{err}");
+        assert!(err.to_string().contains("recurrence_probability"), "{err}");
     }
 
     #[test]

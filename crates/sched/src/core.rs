@@ -535,9 +535,10 @@ impl<'a> PlacementEngine<'a> {
 
         // The result vectors escape into the schedule, so they are the one
         // fresh allocation of a successful attempt; the working buffers stay
-        // with the engine for recycling.
-        let start: Vec<u32> =
-            self.ops.iter().map(|s| s.start.expect("all ops scheduled")).collect();
+        // with the engine for recycling.  The loop only exits with every
+        // operation placed, so an unplaced one fails the attempt rather than
+        // the process.
+        let start: Vec<u32> = self.ops.iter().map(|s| s.start).collect::<Option<_>>()?;
         Some((start, self.ops.iter().map(|s| s.fu).collect()))
     }
 }

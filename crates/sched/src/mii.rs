@@ -269,8 +269,9 @@ fn scc_ids_into(ddg: &Ddg, scratch: &mut MiiScratch) {
                     low[p] = low[p].min(low[v]);
                 }
                 if low[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow") as usize;
+                    // `v` is on the stack, so popping down to it never runs dry.
+                    while let Some(w) = stack.pop() {
+                        let w = w as usize;
                         on_stack[w] = false;
                         comp[w] = next_comp;
                         if w == v {

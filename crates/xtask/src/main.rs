@@ -8,9 +8,10 @@
 //!   (`crates/core/src/session/executor.rs`, the work-stealing executor).
 //! * `.unwrap()` / `.expect(` are denied in the *non-test* code of the
 //!   verification-critical hot paths (`crates/verify`, `crates/sim`,
-//!   `crates/qrf`, `crates/bounds`, `crates/partition`) — a verifier that can
-//!   panic mid-verdict is not a verifier, and the same holds for a bounds
-//!   certifier and the partitioning scheduler every clustered compile runs.
+//!   `crates/qrf`, `crates/bounds`, `crates/partition`, `crates/sched`,
+//!   `crates/unroll`) — a verifier that can panic mid-verdict is not a
+//!   verifier, and the same holds for a bounds certifier and the schedulers
+//!   and unroller every compile runs.
 //! * every `#[allow(clippy::...)]` must carry a justification comment on the
 //!   same or the preceding line, so suppressions stay deliberate.
 //! * doc-sync: every stable code the verifier (`V001-…`) and the bounds
@@ -28,8 +29,15 @@ use std::process::ExitCode;
 const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/src/session/executor.rs"];
 
 /// Crates whose non-test code must be panic-free.
-const NO_PANIC_CRATES: &[&str] =
-    &["crates/verify", "crates/sim", "crates/qrf", "crates/bounds", "crates/partition"];
+const NO_PANIC_CRATES: &[&str] = &[
+    "crates/verify",
+    "crates/sim",
+    "crates/qrf",
+    "crates/bounds",
+    "crates/partition",
+    "crates/sched",
+    "crates/unroll",
+];
 
 /// Sources that define stable lint/certificate codes, and the code prefix each
 /// contributes.  Every code found here must have a row in README.md's code
